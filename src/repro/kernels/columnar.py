@@ -31,7 +31,16 @@ simulators, not re-derived here):
   position within its line's time-ordered access list is O(1);
 * the packed prefix uses 21/21/22-bit fields, so these layers decline
   (raise :class:`KernelUnsupported`) for traces of 2**21 records or
-  more — far above every bundled workload.
+  more — far above every bundled workload;
+* per-record index arrays — ``lines``, ``lslot``, ``lorder``, ``rank``,
+  ``ns``, ``nir``, ``fs_pos``/``fs_word``, ``sorder``, ``run_*`` and
+  ``brk2`` — are int32: the line decomposition declines addresses
+  above 2**32 - 1, so line ids and record positions fit.  Only the
+  packed prefix ``pref`` and the short per-line/per-set bounds
+  (``start``, ``sstart``) stay int64.  Kernels index and ``bisect``
+  these arrays through zero-copy ``memoryview`` objects, which yield
+  plain ints, instead of memoising per-record plain-list copies (about
+  36 bytes per element).
 """
 
 from __future__ import annotations
@@ -163,32 +172,32 @@ class LineIndex:
     __slots__ = ("lines", "luniq", "lslot", "lorder", "start", "rank", "ns")
 
     def __init__(self, np, cols: TraceColumns, wl: WordLayer, shift: int) -> None:
+        if not cols.in_range:
+            raise KernelUnsupported("records outside the 32-bit domain")
         n = cols.n
-        self.lines = wl.words >> (shift - 2)
+        self.lines = (wl.words >> (shift - 2)).astype(np.int32)
         # The distinct lines come from the (tiny) distinct-word set, not
         # from an O(n) unique over the per-record line column.
         self.luniq = np.unique(wl.wuniq >> (shift - 2))
-        self.lslot = np.searchsorted(self.luniq, self.lines)
-        self.lorder = np.argsort(self.lslot.astype(np.int32), kind="stable")
+        self.lslot = np.searchsorted(self.luniq, self.lines).astype(np.int32)
+        self.lorder = np.argsort(self.lslot, kind="stable").astype(np.int32)
         nlines = len(self.luniq)
         self.start = np.zeros(nlines + 1, dtype=np.int64)
         np.cumsum(
             np.bincount(self.lslot, minlength=nlines), out=self.start[1:]
         )
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[self.lorder] = np.arange(n, dtype=np.int64)
+        self.rank = np.empty(n, dtype=np.int32)
+        self.rank[self.lorder] = np.arange(n, dtype=np.int32)
         # ns[p]: position of the first store to line(p) at-or-after p
         # (n when none) via a reversed running min over the CSR order.
+        self.ns = np.empty(n, dtype=np.int32)
         if n:
             seg = self.lslot[self.lorder].astype(np.int64)
             key = np.where(
                 cols.ops[self.lorder] == 1, seg * (n + 1) + self.lorder, seg * (n + 1) + n
             )
             rmin = np.minimum.accumulate(key[::-1])[::-1] - seg * (n + 1)
-            self.ns = np.empty(n, dtype=np.int64)
             self.ns[self.lorder] = rmin
-        else:
-            self.ns = np.zeros(0, dtype=np.int64)
 
 
 def line_index(trace: Trace, line_shift: int) -> LineIndex:
@@ -241,19 +250,17 @@ class FreqLayer:
         self.pref = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(packed[li.lorder], out=self.pref[1:])
         # nir[p]: first infrequent-valued touch of line(p) at-or-after p.
+        self.nir = np.empty(n, dtype=np.int32)
         if n:
             seg = li.lslot[li.lorder].astype(np.int64)
             key = np.where(
                 isf[li.lorder], seg * (n + 1) + n, seg * (n + 1) + li.lorder
             )
             rmin = np.minimum.accumulate(key[::-1])[::-1] - seg * (n + 1)
-            self.nir = np.empty(n, dtype=np.int64)
             self.nir[li.lorder] = rmin
-        else:
-            self.nir = np.zeros(0, dtype=np.int64)
         fs_csr = (isf & stores)[li.lorder]
         self.fs_pos = li.lorder[fs_csr]
-        self.fs_word = (wl.words[self.fs_pos]) & (wpl - 1)
+        self.fs_word = ((wl.words[self.fs_pos]) & (wpl - 1)).astype(np.int32)
         self.cf0 = wpl if 0 in set(int(v) for v in values) else 0
 
 
@@ -304,17 +311,17 @@ class SetOrder:
         sets = (li.lines & (num_sets - 1)).astype(
             np.uint16 if num_sets <= 1 << 16 else np.int64
         )
-        self.sorder = np.argsort(sets, kind="stable")
+        self.sorder = np.argsort(sets, kind="stable").astype(np.int32)
         self.sstart = np.zeros(num_sets + 1, dtype=np.int64)
         np.cumsum(
             np.bincount(sets, minlength=num_sets), out=self.sstart[1:]
         )
         if n == 0:
-            self.run_start = np.zeros(1, dtype=np.int64)
-            self.run_line = np.zeros(0, dtype=np.int64)
-            self.run_set = np.zeros(0, dtype=np.int64)
-            self.run_id = np.zeros(0, dtype=np.int64)
-            self.brk2 = np.zeros(0, dtype=np.int64)
+            self.run_start = np.zeros(1, dtype=np.int32)
+            self.run_line = np.zeros(0, dtype=np.int32)
+            self.run_set = np.zeros(0, dtype=np.int32)
+            self.run_id = np.zeros(0, dtype=np.int32)
+            self.brk2 = np.zeros(0, dtype=np.int32)
             self.nruns = 0
             return
         line_s = li.lines[self.sorder]
@@ -323,10 +330,10 @@ class SetOrder:
         # Lines determine sets, so a line change is exactly a run
         # boundary (equal adjacent lines are necessarily the same set).
         new[1:] = line_s[1:] != line_s[:-1]
-        self.run_id = np.cumsum(new) - 1
+        self.run_id = np.cumsum(new, dtype=np.int32) - 1
         starts = np.flatnonzero(new)
         self.nruns = len(starts)
-        self.run_start = np.empty(self.nruns + 1, dtype=np.int64)
+        self.run_start = np.empty(self.nruns + 1, dtype=np.int32)
         self.run_start[:-1] = starts
         self.run_start[-1] = n
         self.run_line = line_s[starts]
@@ -336,7 +343,7 @@ class SetOrder:
             brk[2:] = (self.run_line[2:] != self.run_line[:-2]) | (
                 self.run_set[2:] != self.run_set[:-2]
             )
-        self.brk2 = np.flatnonzero(brk)
+        self.brk2 = np.flatnonzero(brk).astype(np.int32)
 
 
 def set_order(trace: Trace, line_shift: int, num_sets: int) -> SetOrder:

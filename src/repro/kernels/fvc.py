@@ -1,12 +1,18 @@
-"""Vectorized DMC+FVC replay: per-slot-group sequential automata.
+"""Vectorized DMC+FVC replay: per-group sequential automata.
 
 Exactness argument (each step checked against :class:`FvcSystem`):
 
-* With the default config and ``fvc_entries <= num_sets`` (every
-  bundled FVC configuration), all lines of main-cache set ``s`` map to
-  FVC slot ``s & (fvc_entries - 1)``; the sets sharing one slot form an
-  independent group, so the trace replays as per-group automata with no
-  global state.
+* With the default config, a direct-mapped main cache and a
+  power-of-two FVC, line ``l`` lives in main-cache set
+  ``l & (num_sets - 1)`` and FVC slot ``l & (fvc_entries - 1)``.  Both
+  are low-bit masks, so with ``m = min(fvc_entries, num_sets)`` the
+  value ``l & (m - 1)`` names the connected component of the set-slot
+  mapping a line belongs to.  When ``fvc_entries <= num_sets`` a group
+  is the ``num_sets / fvc_entries`` sets sharing one slot; when
+  ``fvc_entries > num_sets`` it is one set owning
+  ``fvc_entries / num_sets`` slots.  Either way the trace replays as
+  ``m`` independent automata with no global state, and the FVC state
+  (tag, dirty mask, open hit window, pending install) is kept per slot.
 * For a value-consistent trace (loads return the last value stored to
   their word, zero before any store), an FVC probe of a resident line
   hits exactly when the record's own value is frequent — for loads
@@ -16,24 +22,27 @@ Exactness argument (each step checked against :class:`FvcSystem`):
   set's occupant, promotion points (next infrequent touch of a
   slot-resident line), and batch boundaries.  Everything between is a
   main-cache hit or a frequent-value FVC hit, counted in bulk from the
-  packed per-line prefix of :mod:`repro.kernels.columnar`.
+  packed per-line prefix of :mod:`repro.kernels.columnar`.  A hit batch
+  on a slot-resident line ends at the first run of a third line in its
+  set, so a line resident in another slot of the same group is always
+  visited as an event.
 * A main victim is dirty iff its fill was a store or a store touched
   it while resident (O(1) from the next-store array).  An FVC entry's
   dirty words accumulate from the frequent-store word offsets of each
   committed batch window; a flush writes back exactly the distinct
   dirty words, and a promotion is dirty iff the mask is non-empty.
-* Installs are lazy: whether a victim actually enters the FVC depends
+* Installs are lazy: whether a victim actually enters its slot depends
   on its frequent-word count at eviction time, which is resolved O(1)
   at the victim's next touch (no touches can intervene), or by one
-  bisect when another slot operation needs the answer first.  A still-
-  pending install at end of trace is resolved then: entering the FVC
-  displaces the resident entry, whose dirty words the oracle flushed
-  eagerly at install time.
+  bisect when another operation on the same slot needs the answer
+  first.  A still-pending install at end of trace is resolved then:
+  entering the FVC displaces the resident entry, whose dirty words the
+  oracle flushed eagerly at install time.
 
 The kernel declines (returns ``None``) for anything outside this
-envelope — set-associative mains or FVCs, non-default configs,
-``fvc_entries > num_sets``, value-inconsistent or out-of-range traces —
-and the caller replays the pure-Python oracle.
+envelope — set-associative mains or FVCs, non-power-of-two FVC sizes,
+non-default configs, value-inconsistent, out-of-range or empty
+traces — and the caller replays the pure-Python oracle.
 """
 
 from __future__ import annotations
@@ -51,15 +60,10 @@ from repro.kernels.columnar import (
     freq_layer,
     is_value_consistent,
     line_index,
-    require_numpy,
     set_order,
     trace_columns,
 )
 from repro.trace.trace import Trace
-
-#: Batch windows with more frequent stores than this use a numpy
-#: reduction for the dirty-word mask instead of a short Python loop.
-_MASK_REDUCE_THRESHOLD = 64
 
 
 def fvc_cell_replay(
@@ -73,16 +77,13 @@ def fvc_cell_replay(
     proven envelope."""
     if geometry.ways != 1:
         return None
-    num_sets = geometry.num_sets
-    if not 1 <= fvc_entries <= num_sets:
-        return None
-    if fvc_entries & (fvc_entries - 1):
+    if fvc_entries < 1 or fvc_entries & (fvc_entries - 1):
         return None
     n = len(trace.records)
     if n == 0:
         return None
+    num_sets = geometry.num_sets
     try:
-        np = require_numpy()
         cols = trace_columns(trace)
         if not cols.in_range:
             raise KernelUnsupported("records outside the 32-bit domain")
@@ -98,162 +99,134 @@ def fvc_cell_replay(
     wpl = geometry.words_per_line
     cf0 = fl.cf0
     nruns = so.nruns
+    set_mask = num_sets - 1
+    slot_mask = fvc_entries - 1
 
-    # Hot per-event lookups go through ndarray.item / plain lists.
-    lines = li.lines
-    rank = li.rank
-    ns = li.ns
-    nir = fl.nir
-    opf = fl.opf
-    pref = fl.pref
-    run_id = so.run_id
-    run_line = so.run_line
-    run_set = so.run_set
-    run_start = so.run_start
-    sorder = so.sorder
-    fs_word = fl.fs_word
-    lorder_list = trace.memo(
-        f"kernel:lorder_list:{shift}", lambda t: li.lorder.tolist()
-    )
+    # Hot per-event lookups index zero-copy memoryviews of the int32
+    # decompositions (``pref`` is int64); the per-line and per-set CSR
+    # bounds are short memoised lists.
+    lines = memoryview(li.lines)
+    rank = memoryview(li.rank)
+    ns = memoryview(li.ns)
+    lslot = memoryview(li.lslot)
+    lorder = memoryview(li.lorder)
+    nir = memoryview(fl.nir)
+    opf = memoryview(fl.opf)
+    pref = memoryview(fl.pref)
+    fs_word = memoryview(fl.fs_word)
+    run_id = memoryview(so.run_id)
+    run_line = memoryview(so.run_line)
+    run_set = memoryview(so.run_set)
+    run_start = memoryview(so.run_start)
+    sorder = memoryview(so.sorder)
+    brk2 = memoryview(so.brk2)
+    nbrk = len(brk2)
     start_list = trace.memo(
         f"kernel:lstart_list:{shift}", lambda t: li.start.tolist()
     )
     sstart_list = trace.memo(
         f"kernel:sstart_list:{shift}:{num_sets}", lambda t: so.sstart.tolist()
     )
-    sorder_list = trace.memo(
-        f"kernel:sorder_list:{shift}:{num_sets}", lambda t: so.sorder.tolist()
-    )
-    brk2_list = so.brk2.tolist()
-    nbrk = len(brk2_list)
-    fs_word_list = fs_word.tolist()
-    lslot = li.lslot
 
     read_misses = write_misses = 0
-    fills = writebacks = writeback_words = 0
+    writebacks = writeback_words = 0
     fvc_read_hits = fvc_write_hits = 0
 
     # Per-set occupant state (index = set number).
     occ_line = [-1] * num_sets
     occ_pd = [False] * num_sets
     occ_ns = [0] * num_sets
-    occ_slot = [0] * num_sets
+    occ_ls = [0] * num_sets
     cur_pos = [n] * num_sets
     cur_k = [-1] * num_sets
     for s in range(num_sets):
         k0 = sstart_list[s]
         if k0 < sstart_list[s + 1]:
-            cur_pos[s] = sorder_list[k0]
+            cur_pos[s] = sorder[k0]
             cur_k[s] = k0
 
-    group_count = fvc_entries
-    stride = fvc_entries
+    # Per-FVC-slot state (index = FVC entry number).  Here and above,
+    # ``*_ls`` fields are line-CSR slots, which bound a line's
+    # time-ordered access list.
+    tag = [-1] * fvc_entries
+    tag_ls = [0] * fvc_entries
+    dmask = [0] * fvc_entries
+    open_r0 = [-1] * fvc_entries  # CSR rank opening the uncommitted hit window
+    pend_line = [-1] * fvc_entries
+    pend_ls = [0] * fvc_entries
+    pend_pos = [0] * fvc_entries
 
-    for g in range(group_count):
-        group_sets = range(g, num_sets, stride)
-        # FVC slot state for this group.
-        tag = -1
-        tag_slot = 0
-        mask = 0
-        open_r0 = -1  # CSR rank where the uncommitted hit window starts
-        pend_line = -1
-        pend_slot = 0
-        pend_pos = 0
+    def commit(f: int, r0: int, r1: int) -> None:
+        nonlocal fvc_read_hits, fvc_write_hits
+        p0 = pref[r0]
+        d = pref[r1] - p0
+        loads = d & PACK_MASK
+        stores = (d >> PACK_BITS) & PACK_MASK
+        fvc_read_hits += loads
+        fvc_write_hits += stores
+        if stores:
+            # The window's distinct dirty words, as an unbounded Python
+            # int mask whatever the line size.
+            a = (p0 >> PACK_BITS) & PACK_MASK
+            mask = dmask[f]
+            for w in set(fs_word[a : a + stores]):
+                mask |= 1 << w
+            dmask[f] = mask
 
-        def commit(r0: int, r1: int) -> None:
-            nonlocal fvc_read_hits, fvc_write_hits, mask
-            d = pref.item(r1) - pref.item(r0)
-            loads = d & PACK_MASK
-            stores = (d >> PACK_BITS) & PACK_MASK
-            fvc_read_hits += loads
-            fvc_write_hits += stores
-            if stores:
-                a = (pref.item(r0) >> PACK_BITS) & PACK_MASK
-                if stores > _MASK_REDUCE_THRESHOLD:
-                    mask |= int(
-                        np.bitwise_or.reduce(
-                            np.left_shift(1, fs_word[a : a + stores])
-                        )
-                    )
-                else:
-                    for w in fs_word_list[a : a + stores]:  # repro: allow[PERF001] short distinct-word slice, numpy reduction above threshold
-                        mask |= 1 << w
+    def pending_touch(f: int) -> int:
+        # CSR rank of the pending victim's first touch after eviction.
+        ls = pend_ls[f]
+        return bisect_left(
+            lorder, pend_pos[f], start_list[ls], start_list[ls + 1]
+        )
 
-        def resolve(r_first: int) -> None:
-            nonlocal tag, tag_slot, mask, open_r0, pend_line
-            nonlocal writebacks, writeback_words
-            s0 = start_list[pend_slot]
-            d = pref.item(r_first) - pref.item(s0)
-            cf = cf0 + (d >> (2 * PACK_BITS)) - (r_first - s0)
-            if cf > 0:
-                if tag != -1:
-                    # Displaced at install time; its window was already
-                    # closed there, so the mask is final.
-                    if mask:
-                        writebacks += 1
-                        writeback_words += bin(mask).count("1")
-                tag = pend_line
-                tag_slot = pend_slot
-                mask = 0
-                open_r0 = -1
-            pend_line = -1
-
-        def install(victim: int, victim_slot: int, p: int) -> None:
-            nonlocal open_r0, pend_line, pend_slot, pend_pos
-            if open_r0 >= 0:
-                # The resident entry has an open hit window: cut it at
-                # the install position and reposition the owning set's
-                # cursor onto the entry's next touch, which must now be
-                # replayed as an explicit event either way.
-                hi = start_list[tag_slot + 1]
-                r_cut = bisect_left(lorder_list, p, start_list[tag_slot], hi)
-                commit(open_r0, r_cut)
-                open_r0 = -1
-                if r_cut < hi:
-                    touch = lorder_list[r_cut]
-                    owner = tag & (num_sets - 1)
-                    if touch < cur_pos[owner]:
-                        cur_pos[owner] = touch
-                        cur_k[owner] = -1
-            if pend_line != -1:
-                resolve(
-                    bisect_left(
-                        lorder_list,
-                        pend_pos,
-                        start_list[pend_slot],
-                        start_list[pend_slot + 1],
-                    )
-                )
-            pend_line = victim
-            pend_slot = victim_slot
-            pend_pos = p
-
-        def evict_fill(s: int, line: int, p: int, pd: bool, slot: int) -> None:
-            nonlocal fills, writebacks, writeback_words
-            victim = occ_line[s]
-            if victim != -1:
-                if occ_pd[s] or occ_ns[s] < p:
+    def resolve(f: int, r_first: int) -> None:
+        nonlocal writebacks, writeback_words
+        s0 = start_list[pend_ls[f]]
+        d = pref[r_first] - pref[s0]
+        cf = cf0 + (d >> (2 * PACK_BITS)) - (r_first - s0)
+        if cf > 0:
+            if tag[f] != -1:
+                # Displaced at install time; its window was already
+                # closed there, so the mask is final.
+                mask = dmask[f]
+                if mask:
                     writebacks += 1
-                    writeback_words += wpl
-                install(victim, occ_slot[s], p)
-            occ_line[s] = line
-            occ_pd[s] = pd
-            occ_ns[s] = ns.item(p)
-            occ_slot[s] = slot
-            fills += 1
+                    writeback_words += bin(mask).count("1")
+            tag[f] = pend_line[f]
+            tag_ls[f] = pend_ls[f]
+            dmask[f] = 0
+            open_r0[f] = -1
+        pend_line[f] = -1
 
-        def advance(s: int, p: int, k: int) -> None:
-            if k < 0:
-                k = bisect_left(sorder_list, p, sstart_list[s], sstart_list[s + 1])
-            r = run_id.item(k)
-            nxt = r + 1
-            if nxt >= nruns or run_set.item(nxt) != s:
-                cur_pos[s] = n
-            else:
-                k2 = run_start.item(nxt)
-                cur_pos[s] = sorder_list[k2]
-                cur_k[s] = k2
+    def install(victim: int, victim_ls: int, p: int) -> None:
+        f = victim & slot_mask
+        r0 = open_r0[f]
+        if r0 >= 0:
+            # The resident entry has an open hit window: cut it at the
+            # install position and reposition the owning set's cursor
+            # onto the entry's next touch, which must now be replayed
+            # as an explicit event either way.
+            ls = tag_ls[f]
+            hi = start_list[ls + 1]
+            r_cut = bisect_left(lorder, p, start_list[ls], hi)
+            commit(f, r0, r_cut)
+            open_r0[f] = -1
+            if r_cut < hi:
+                touch = lorder[r_cut]
+                owner = tag[f] & set_mask
+                if touch < cur_pos[owner]:
+                    cur_pos[owner] = touch
+                    cur_k[owner] = -1
+        if pend_line[f] != -1:
+            resolve(f, pending_touch(f))
+        pend_line[f] = victim
+        pend_ls[f] = victim_ls
+        pend_pos[f] = p
 
+    groups = min(fvc_entries, num_sets)
+    for g in range(groups):
+        group_sets = range(g, num_sets, groups)
         while True:
             best = n
             bs = -1
@@ -267,41 +240,35 @@ def fvc_cell_replay(
             s = bs
             p = best
             k = cur_k[s]
-            line = lines.item(p)
-            if pend_line != -1:
-                if pend_line == line:
-                    resolve(rank.item(p))
-                elif tag == line:
-                    resolve(
-                        bisect_left(
-                            lorder_list,
-                            pend_pos,
-                            start_list[pend_slot],
-                            start_list[pend_slot + 1],
-                        )
-                    )
-            o = opf.item(p)
-            if tag == line:
+            line = lines[p]
+            f = line & slot_mask
+            if pend_line[f] != -1:
+                if pend_line[f] == line:
+                    resolve(f, rank[p])
+                elif tag[f] == line:
+                    resolve(f, pending_touch(f))
+            o = opf[p]
+            if tag[f] == line:
+                r = rank[p]
+                r0 = open_r0[f]
                 if o & 2:
                     # Frequent-value touch of the slot-resident line:
                     # extend/open the bulk hit window and jump the
                     # cursor to the batch boundary.
-                    r = rank.item(p)
-                    if open_r0 >= 0:
-                        commit(open_r0, r)
-                    open_r0 = r
-                    boundary = nir.item(p)
+                    if r0 >= 0:
+                        commit(f, r0, r)
+                    open_r0[f] = r
+                    boundary = nir[p]
                     boundary_k = -1
                     if k < 0:
                         k = bisect_left(
-                            sorder_list, p, sstart_list[s], sstart_list[s + 1]
+                            sorder, p, sstart_list[s], sstart_list[s + 1]
                         )
-                    r_run = run_id.item(k)
-                    nxt = r_run + 1
-                    if nxt < nruns and run_set.item(nxt) == s:
-                        if run_line.item(nxt) != occ_line[s]:
-                            k2 = run_start.item(nxt)
-                            third = sorder_list[k2]
+                    nxt = run_id[k] + 1
+                    if nxt < nruns and run_set[nxt] == s:
+                        if run_line[nxt] != occ_line[s]:
+                            k2 = run_start[nxt]
+                            third = sorder[k2]
                             if third < boundary:
                                 boundary = third
                                 boundary_k = k2
@@ -309,67 +276,75 @@ def fvc_cell_replay(
                             # Runs alternate between the resident line
                             # and the occupant until the first break at
                             # least two runs out names a third line.
-                            j = bisect_left(brk2_list, nxt + 1)
+                            j = bisect_left(brk2, nxt + 1)
                             if j < nbrk:
-                                rb = brk2_list[j]
-                                if run_set.item(rb) == s:
-                                    k2 = run_start.item(rb)
-                                    third = sorder_list[k2]
+                                rb = brk2[j]
+                                if run_set[rb] == s:
+                                    k2 = run_start[rb]
+                                    third = sorder[k2]
                                     if third < boundary:
                                         boundary = third
                                         boundary_k = k2
                     cur_pos[s] = boundary
                     cur_k[s] = boundary_k
-                else:
-                    # Infrequent touch of the resident line: promotion.
-                    r = rank.item(p)
-                    if open_r0 >= 0:
-                        commit(open_r0, r)
-                        open_r0 = -1
-                    pd = mask != 0
-                    tag = -1
-                    mask = 0
-                    if o & 1:
-                        write_misses += 1
-                    else:
-                        read_misses += 1
-                    evict_fill(s, line, p, pd, lslot.item(p))
-                    advance(s, p, k)
+                    continue
+                # Infrequent touch of the resident line: promotion.
+                if r0 >= 0:
+                    commit(f, r0, r)
+                    open_r0[f] = -1
+                pd = dmask[f] != 0
+                tag[f] = -1
+                dmask[f] = 0
             else:
                 # Miss in both structures: plain fill.
-                if o & 1:
-                    write_misses += 1
-                else:
-                    read_misses += 1
-                evict_fill(s, line, p, False, lslot.item(p))
-                advance(s, p, k)
+                pd = False
+            if o & 1:
+                write_misses += 1
+            else:
+                read_misses += 1
+            victim = occ_line[s]
+            if victim != -1:
+                if occ_pd[s] or occ_ns[s] < p:
+                    writebacks += 1
+                    writeback_words += wpl
+                install(victim, occ_ls[s], p)
+            occ_line[s] = line
+            occ_pd[s] = pd
+            occ_ns[s] = ns[p]
+            occ_ls[s] = lslot[p]
+            # The set's next event is at most its next run start.
+            if k < 0:
+                k = bisect_left(sorder, p, sstart_list[s], sstart_list[s + 1])
+            nxt = run_id[k] + 1
+            if nxt >= nruns or run_set[nxt] != s:
+                cur_pos[s] = n
+            else:
+                k2 = run_start[nxt]
+                cur_pos[s] = sorder[k2]
+                cur_k[s] = k2
 
-        if pend_line != -1:
+    for f in range(fvc_entries):
+        if pend_line[f] != -1:
             # The oracle installs eagerly: a pending install left at end
             # of trace still displaces the resident entry (flushing its
             # dirty words) when the victim's frequent-word count admits
             # it.  A pending install implies no open hit window.
-            resolve(
-                bisect_left(
-                    lorder_list,
-                    pend_pos,
-                    start_list[pend_slot],
-                    start_list[pend_slot + 1],
-                )
-            )
-        if open_r0 >= 0:
+            resolve(f, pending_touch(f))
+        r0 = open_r0[f]
+        if r0 >= 0:
             # Remaining touches of the resident line are all frequent
             # hits (any infrequent touch or third line would have been
             # a boundary event) and nothing displaced the entry.
-            commit(open_r0, start_list[tag_slot + 1])
+            commit(f, r0, start_list[tag_ls[f] + 1])
 
     stats = CacheStats()
     stats.read_misses = read_misses
     stats.write_misses = write_misses
     stats.read_hits = cols.nloads - read_misses
     stats.write_hits = (n - cols.nloads) - write_misses
-    stats.fills = fills
-    stats.fill_words = fills * wpl
+    # Every miss fills the main cache.
+    stats.fills = read_misses + write_misses
+    stats.fill_words = stats.fills * wpl
     stats.writebacks = writebacks
     stats.writeback_words = writeback_words
     total_fvc = fvc_read_hits + fvc_write_hits

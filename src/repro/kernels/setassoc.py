@@ -15,9 +15,10 @@ Victim choice bisects each resident line's access list for its last
 touch before the miss — ``ways`` O(log n) probes per true miss — and a
 victim is dirty exactly when its fill access was a store or any store
 touched it while resident (an O(1) next-store lookup).  The bisects run
-over a memoised plain-list copy of the CSR order: ``bisect_left`` on a
-list subrange is an order of magnitude cheaper per probe than a numpy
-``searchsorted`` call at these sizes.
+over a zero-copy ``memoryview`` of the int32 CSR order: ``bisect_left``
+on a subrange is an order of magnitude cheaper per probe than a numpy
+``searchsorted`` call at these sizes, and a memoised plain-list copy
+would cost about 36 bytes per record to buy no faster probes.
 """
 
 from __future__ import annotations
@@ -67,9 +68,7 @@ def setassoc_stats(trace: Trace, geometry: CacheGeometry) -> Optional[CacheStats
     event_op = cols.ops[so.sorder[so.run_start[:-1][flagged]]].tolist()
 
     shift = geometry.line_shift
-    lorder_list = trace.memo(
-        f"kernel:lorder_list:{shift}", lambda t: li.lorder.tolist()
-    )
+    lorder = memoryview(li.lorder)
     start_list = trace.memo(
         f"kernel:lstart_list:{shift}", lambda t: li.start.tolist()
     )
@@ -104,8 +103,8 @@ def setassoc_stats(trace: Trace, geometry: CacheGeometry) -> Optional[CacheStats
             victim_touch = -1
             victim_fill = -1
             for resident_line, (fill_pos, lo, hi) in resident.items():
-                touch_rank = bisect_left(lorder_list, p, lo, hi) - 1
-                last_touch = lorder_list[touch_rank]
+                touch_rank = bisect_left(lorder, p, lo, hi) - 1
+                last_touch = lorder[touch_rank]
                 if victim < 0 or last_touch < victim_touch:
                     victim = resident_line
                     victim_touch = last_touch

@@ -42,6 +42,28 @@ def _fvc_oracle(trace, geometry, entries, encoder):
     return system.stats.as_dict(), extras
 
 
+def _assert_fvc_parity(trace, geometry, entries, encoder):
+    """The kernel accepts the cell and matches ``FvcSystem`` on every
+    ``CacheStats`` field and the four FVC extras."""
+    replayed = fvc_cell_replay(trace, geometry, entries, encoder)
+    assert replayed is not None
+    stats, extras = replayed
+    oracle_stats, oracle_extras = _fvc_oracle(trace, geometry, entries, encoder)
+    assert stats.as_dict() == oracle_stats
+    assert extras == oracle_extras
+
+
+#: FVC sizes on both sides of the main cache's set count: a quarter of
+#: it, equal, twice, eight times, and the paper's largest FVC.
+_FVC_SIZES = {
+    "sets/4": lambda sets: sets // 4,
+    "sets": lambda sets: sets,
+    "2*sets": lambda sets: 2 * sets,
+    "8*sets": lambda sets: 8 * sets,
+    "4096": lambda sets: 4096,
+}
+
+
 class TestBaselineParity:
     @pytest.mark.parametrize(
         "size_kb, line_bytes", [(4, 16), (16, 32), (64, 64)]
@@ -68,14 +90,7 @@ class TestFvcParity:
     def test_small_geometry(self, gcc_trace):
         geometry = CacheGeometry(4 * 1024, 16, ways=1)
         encoder = encoder_for(gcc_trace, 3)
-        replayed = fvc_cell_replay(gcc_trace, geometry, 128, encoder)
-        assert replayed is not None
-        stats, extras = replayed
-        oracle_stats, oracle_extras = _fvc_oracle(
-            gcc_trace, geometry, 128, encoder
-        )
-        assert stats.as_dict() == oracle_stats
-        assert extras == oracle_extras
+        _assert_fvc_parity(gcc_trace, geometry, 128, encoder)
 
     def test_pending_install_flushed_at_end_of_trace(self, store):
         # Regression: the kernel resolves installs lazily at the
@@ -88,14 +103,58 @@ class TestFvcParity:
         trace = store.get("compress", "test")
         geometry = CacheGeometry(16 * 1024, 32, ways=1)
         encoder = encoder_for(trace, 7)
-        replayed = fvc_cell_replay(trace, geometry, 512, encoder)
-        assert replayed is not None
-        stats, extras = replayed
-        oracle_stats, oracle_extras = _fvc_oracle(
-            trace, geometry, 512, encoder
-        )
-        assert stats.as_dict() == oracle_stats
-        assert extras == oracle_extras
+        _assert_fvc_parity(trace, geometry, 512, encoder)
+
+    def test_pending_installs_flushed_at_end_of_trace_per_slot(self, store):
+        # The same tail displacements when one set owns several FVC
+        # slots (512 entries beside 256 sets): each slot keeps its own
+        # pending install, and compress/test leaves 300 of them that
+        # displace a dirty entry after the victims' last touches.
+        trace = store.get("compress", "test")
+        geometry = CacheGeometry(8 * 1024, 32, ways=1)
+        assert geometry.num_sets == 256
+        encoder = encoder_for(trace, 7)
+        _assert_fvc_parity(trace, geometry, 512, encoder)
+
+
+    @pytest.mark.parametrize("entries", [8, 32])
+    def test_dirty_mask_spans_every_word_of_a_wide_line(self, entries):
+        # 128 frequent stores in one hit window dirty all 64 words of a
+        # 256-byte line resident in the FVC; its displacement must
+        # flush exactly 64 words, so the dirty mask may not be held in
+        # a fixed-width integer.
+        records = [(0, 0, 0), (0, 2048, 0)]
+        records += [(1, 4 * (i % 64), 0) for i in range(128)]
+        records.append((0, 4096, 0))
+        trace = Trace(records, workload="syn")
+        geometry = CacheGeometry(2048, 256, ways=1)
+        encoder = FrequentValueEncoder((0, 1, 2), 2)
+        _assert_fvc_parity(trace, geometry, entries, encoder)
+
+
+class TestFvcParitySweep:
+    """The FVC kernel against the oracle with the FVC smaller than,
+    equal to and larger than the main cache's set count."""
+
+    @pytest.mark.parametrize("entries", sorted(_FVC_SIZES))
+    @pytest.mark.parametrize("top", [1, 3, 7])
+    @pytest.mark.parametrize("line_bytes", [16, 32, 64])
+    def test_gcc(self, gcc_trace, line_bytes, top, entries):
+        geometry = CacheGeometry(4 * 1024, line_bytes, ways=1)
+        encoder = encoder_for(gcc_trace, top)
+        size = _FVC_SIZES[entries](geometry.num_sets)
+        _assert_fvc_parity(gcc_trace, geometry, size, encoder)
+
+    # compress/test is almost three times gcc/test and its oracle replay
+    # is the slow side, so each line size takes one of the three codes.
+    @pytest.mark.parametrize("entries", sorted(_FVC_SIZES))
+    @pytest.mark.parametrize("line_bytes, top", [(16, 1), (32, 3), (64, 7)])
+    def test_compress(self, store, line_bytes, top, entries):
+        trace = store.get("compress", "test")
+        geometry = CacheGeometry(16 * 1024, line_bytes, ways=1)
+        encoder = encoder_for(trace, top)
+        size = _FVC_SIZES[entries](geometry.num_sets)
+        _assert_fvc_parity(trace, geometry, size, encoder)
 
 
 class TestHierarchyParity:
@@ -145,6 +204,57 @@ class TestDeclines:
         geometry = CacheGeometry(4096, 16, ways=1)
         encoder = encoder_for(gcc_trace, 3)
         assert fvc_cell_replay(gcc_trace, geometry, 96, encoder) is None
+        assert fvc_cell_replay(gcc_trace, geometry, 768, encoder) is None
+
+    def test_set_associative_main_cache_with_fvc(self, gcc_trace):
+        geometry = CacheGeometry(8 * 1024, 32, ways=2)
+        encoder = encoder_for(gcc_trace, 7)
+        assert fvc_cell_replay(gcc_trace, geometry, 512, encoder) is None
+
+    def test_fvc_larger_than_set_count_is_accepted(self, gcc_trace):
+        # One main-cache set owning several FVC slots: Fig. 12's
+        # 512-entry FVC beside a 4 KB cache of 16-byte lines.
+        geometry = CacheGeometry(4 * 1024, 16, ways=1)
+        assert geometry.num_sets == 256
+        encoder = encoder_for(gcc_trace, 7)
+        _assert_fvc_parity(gcc_trace, geometry, 512, encoder)
+
+    def test_decompositions_are_compact(self, store):
+        # Guards the memory footprint: per-record index arrays are
+        # int32 and no per-record plain-list copy is memoised.
+        from repro.kernels import columnar
+
+        trace = store.get("gcc", "test")
+        geometry = CacheGeometry(4 * 1024, 32, ways=1)
+        encoder = encoder_for(trace, 7)
+        assert fvc_cell_replay(trace, geometry, 512, encoder) is not None
+        shift = geometry.line_shift
+        li = columnar.line_index(trace, shift)
+        fl = columnar.freq_layer(trace, shift, encoder.values)
+        so = columnar.set_order(trace, shift, geometry.num_sets)
+        arrays = {
+            "lines": li.lines,
+            "lslot": li.lslot,
+            "lorder": li.lorder,
+            "rank": li.rank,
+            "ns": li.ns,
+            "nir": fl.nir,
+            "fs_pos": fl.fs_pos,
+            "fs_word": fl.fs_word,
+            "sorder": so.sorder,
+            "run_start": so.run_start,
+            "run_line": so.run_line,
+            "run_set": so.run_set,
+            "run_id": so.run_id,
+            "brk2": so.brk2,
+        }
+        for name, array in arrays.items():
+            assert array.dtype.name == "int32", name
+        assert fl.pref.dtype.name == "int64"
+        n = len(trace.records)
+        for key, value in trace._aggregates.items():
+            if key.startswith("kernel:") and isinstance(value, list):
+                assert len(value) < n, key
 
 
 class TestProfileParity:
