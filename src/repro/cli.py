@@ -11,9 +11,7 @@
     repro-fvc run fig13 --faults 'trace_cache.read:io_error@1'  # chaos
     repro-fvc lint [paths...]           # simulator-invariant linter
     repro-fvc cache info|clear|verify   # on-disk trace cache maintenance
-    repro-fvc trace gcc --input ref -o gcc.trc[.gz]
-    repro-fvc trace gcc -o gcc.trcb --columnar  # columnar binary format
-    repro-fvc trace convert gcc.trc gcc.trcb    # migrate between formats
+    repro-fvc trace gen gcc --input ref -o gcc.trc[.gz]  # columnar trace file
     repro-fvc profile gcc [--input ref] # FVL summary of one workload
     repro-fvc report gcc                # full S2-style locality report
     repro-fvc classify gcc --size-kb 16 # 3C miss classification
@@ -69,11 +67,7 @@ from repro.experiments.common import (
     reduction_percent,
 )
 from repro.profiling.report import build_report
-from repro.trace.io import (
-    write_trace,
-    write_trace_columnar,
-    write_trace_compact,
-)
+from repro.trace.io import write_trace
 from repro.trace.stats import compute_stats
 from repro.workloads.registry import ALL_WORKLOADS, get_workload
 from repro.workloads.store import shared_store
@@ -271,19 +265,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         # quarantined (*.corrupt) and will regenerate on next use, but
         # CI and operators should notice.
         return 1 if report["quarantined"] else 0
-    from repro.engine.trace_cache import COMPACT_SUFFIX, ENTRY_SUFFIX
-
     entries = cache.entries()
-    # Entry kinds are distinguishable by suffix: columnar (.trcbe) is
-    # what this release writes, compact (.trc2e) what earlier releases
-    # persisted at the same content address.  Report them separately —
-    # a lumped total hides a cache full of legacy entries.
-    columnar = sum(1 for path, *_ in entries if path.suffix == ENTRY_SUFFIX)
-    legacy = sum(1 for path, *_ in entries if path.suffix == COMPACT_SUFFIX)
     print(f"trace cache: {cache.directory}")
-    print(f"entries: {len(entries)} "
-          f"({columnar} columnar {ENTRY_SUFFIX}, "
-          f"{legacy} legacy {COMPACT_SUFFIX})")
+    print(f"entries: {len(entries)}")
     total = 0
     # Sizes are bytes, matching the observability contract
     # (result_store_size_bytes and friends) — never KB.
@@ -300,35 +284,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     workload = get_workload(args.workload)
     trace = workload.generate_trace(args.input)
-    if args.columnar:
-        write_trace_columnar(trace, args.output)
-    elif args.compact:
-        write_trace_compact(trace, args.output)
-    else:
-        write_trace(trace, args.output)
+    write_trace(trace, args.output)
     print(f"wrote {len(trace)} accesses to {args.output}")
-    return 0
-
-
-def _cmd_trace_convert(args: argparse.Namespace) -> int:
-    from repro.common.errors import TraceFormatError
-    from repro.trace.io import read_trace_any
-
-    try:
-        trace = read_trace_any(args.source)
-    except (TraceFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    writer = {
-        "columnar": write_trace_columnar,
-        "compact": write_trace_compact,
-        "rows": write_trace,
-    }[args.format]
-    writer(trace, args.destination)
-    print(
-        f"converted {len(trace)} accesses "
-        f"({args.source} -> {args.destination}, {args.format})"
-    )
     return 0
 
 
@@ -963,10 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.set_defaults(func=_cmd_cache)
 
-    trace = sub.add_parser(
-        "trace",
-        help="generate a trace file, or convert one between formats",
-    )
+    trace = sub.add_parser("trace", help="generate a trace file")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_gen = trace_sub.add_parser(
         "gen",
@@ -975,32 +929,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_gen.add_argument("workload")
     trace_gen.add_argument("--input", default="ref")
-    trace_gen.add_argument("-o", "--output", required=True)
     trace_gen.add_argument(
-        "--compact",
-        action="store_true",
-        help="delta/varint format (3-4x smaller)",
-    )
-    trace_gen.add_argument(
-        "--columnar",
-        action="store_true",
-        help="columnar binary format (.trcb; what the vectorized "
-        "kernels consume)",
+        "-o",
+        "--output",
+        required=True,
+        help="columnar trace file, whatever its suffix (gzip-compressed "
+        "when it ends in .gz)",
     )
     trace_gen.set_defaults(func=_cmd_trace)
-    trace_convert = trace_sub.add_parser(
-        "convert",
-        help="read a trace in any format, write it in another",
-    )
-    trace_convert.add_argument("source")
-    trace_convert.add_argument("destination")
-    trace_convert.add_argument(
-        "--format",
-        choices=("columnar", "compact", "rows"),
-        default="columnar",
-        help="output format (default: columnar)",
-    )
-    trace_convert.set_defaults(func=_cmd_trace_convert)
 
     profile = sub.add_parser("profile", help="frequent value summary")
     profile.add_argument("workload")
@@ -1315,12 +1251,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     if argv is None:
         argv = sys.argv[1:]
-    # Back-compat: 'trace <workload> ...' predates the gen/convert
-    # split and keeps working as shorthand for 'trace gen <workload>'.
+    # Back-compat: 'trace <workload> ...' predates the 'gen'
+    # subcommand and keeps working as shorthand for 'trace gen <workload>'.
     if (
         len(argv) >= 2
         and argv[0] == "trace"
-        and argv[1] not in ("gen", "convert", "-h", "--help")
+        and argv[1] not in ("gen", "-h", "--help")
     ):
         argv = [argv[0], "gen", *argv[1:]]
     parser = build_parser()

@@ -583,11 +583,11 @@ class ClusterScheduler:
             blob = path.read_bytes()
         else:
             from repro.common.integrity import wrap
-            from repro.trace.io import trace_to_columnar_bytes
+            from repro.trace.io import trace_to_bytes
             from repro.workloads.registry import get_workload
 
             trace = get_workload(workload).generate_trace(input_name)
-            blob = wrap(zlib.compress(trace_to_columnar_bytes(trace), 6))
+            blob = wrap(zlib.compress(trace_to_bytes(trace), 6))
         with self._lock:
             self._count("cluster_trace_serves_total")
         return blob

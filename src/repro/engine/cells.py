@@ -11,11 +11,14 @@ pay for the trace exactly once per process and once per machine.
 :func:`run_cell` is the single execution path used both sequentially
 (by the experiments' ``run``) and in parallel (by
 :func:`repro.engine.runner.run_cells`), which is what makes the
-parallel results bit-identical to the sequential ones.  It is also
-where the runtime sanitizer (:mod:`repro.analysis.sanitize`, enabled
-by ``REPRO_SANITIZE=1``) hooks in: because the checks live on the one
-shared path, sanitized parallel runs exercise exactly the invariants
-sanitized sequential runs do.
+parallel results bit-identical to the sequential ones.  Baseline and
+FVC cells replay through :func:`repro.experiments.common.baseline_stats`
+and :func:`repro.experiments.common.fvc_replay`, the one
+kernel-or-oracle path per kind.  The runtime sanitizer
+(:mod:`repro.analysis.sanitize`, enabled by ``REPRO_SANITIZE=1``)
+hooks in there, so sanitized parallel runs, sanitized sequential runs
+and the studies that call those helpers directly all exercise the same
+invariants.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
-from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.common.errors import ConfigurationError
 
@@ -78,18 +79,6 @@ class CellResult:
         for name in CacheStats.__slots__:
             setattr(stats, name, self.stats[name])
         return stats
-
-
-def _sanitize_check(cell: SimCell, check, *args) -> None:
-    """Run one sanitizer check, prefixing violations with cell context."""
-    from repro.analysis.sanitize import SanitizeViolation
-
-    try:
-        check(*args)
-    except SanitizeViolation as exc:
-        raise SanitizeViolation(
-            f"{cell.kind} cell {cell.workload}/{cell.input_name}: {exc}"
-        ) from exc
 
 
 def cell_span_key(cell: SimCell) -> str:
@@ -147,69 +136,29 @@ def _simulate(cell: SimCell, trace) -> CellResult:
     """Dispatch one cell to its simulator (the observable unit of
     :func:`run_cell`; callers go through ``run_cell``, never here)."""
     from repro.analysis import sanitize
-    from repro.kernels import dispatch
+    from repro.experiments.common import baseline_stats, fvc_replay
 
     geometry = cell.geometry()
-    sanitizing = sanitize.enabled()
 
     if cell.kind == "baseline":
-        stats = dispatch.try_baseline_stats(trace, geometry)
-        if stats is not None:
-            return CellResult(cell=cell, stats=stats.as_dict())
-        if geometry.ways == 1:
-            simulator = DirectMappedCache(geometry)
-        else:
-            simulator = SetAssociativeCache(geometry)
-        stats = simulator.simulate_batch(trace.records)
-        if sanitizing:
-            _sanitize_check(
-                cell, sanitize.check_baseline, simulator, len(trace.records)
-            )
+        stats = baseline_stats(trace, geometry)
         return CellResult(cell=cell, stats=stats.as_dict())
 
     if cell.kind == "fvc":
-        from repro.experiments.common import encoder_for
-        from repro.fvc.system import FvcSystem
-
-        replayed = dispatch.try_fvc_replay(
-            trace, geometry, cell.fvc_entries, encoder_for(trace, cell.top_values)
+        stats, extras = fvc_replay(
+            trace, geometry, cell.fvc_entries, cell.top_values
         )
-        if replayed is not None:
-            stats, extras = replayed
-            return CellResult(cell=cell, stats=stats.as_dict(), extras=extras)
-        system = FvcSystem(
-            geometry,
-            cell.fvc_entries,
-            encoder_for(trace, cell.top_values),
-            config=sanitize.sanitized_fvc_config() if sanitizing else None,
-        )
-        audit = sanitize.attach_fvc_system(system) if sanitizing else None
-        stats = system.simulate_batch(trace.records)
-        if sanitizing:
-            _sanitize_check(
-                cell, sanitize.check_fvc_system, system, len(trace.records), audit
-            )
-        return CellResult(
-            cell=cell,
-            stats=stats.as_dict(),
-            extras={
-                "main_hits": system.main_hits,
-                "fvc_hits": system.fvc_hits,
-                "fvc_read_hits": system.fvc_read_hits,
-                "fvc_write_hits": system.fvc_write_hits,
-            },
-        )
+        return CellResult(cell=cell, stats=stats.as_dict(), extras=extras)
 
     if cell.kind == "classify":
         from repro.cache.classify import classify_misses
 
         result = classify_misses(trace.records, geometry)
-        if sanitizing:
-            _sanitize_check(
-                cell,
-                sanitize.check_access_count,
+        if sanitize.enabled():
+            sanitize.check_access_count(
                 result.accesses,
                 len(trace.records),
+                context=f"classify cell {cell.workload}/{cell.input_name}: ",
             )
         return CellResult(
             cell=cell,

@@ -2,9 +2,9 @@
 
 Workload traces are pure functions of ``(workload, input, data seed)``,
 so they can be persisted once per machine and shared by every
-experiment, benchmark and worker process.  Entries are columnar v3
-trace bytes (:func:`repro.trace.io.trace_to_columnar_bytes`), zlib-
-compressed and wrapped in a sha256 integrity envelope
+experiment, benchmark and worker process.  Entries are ``.trcbe``
+files: columnar trace bytes (:func:`repro.trace.io.trace_to_bytes`),
+zlib-compressed and wrapped in a sha256 integrity envelope
 (:mod:`repro.common.integrity`), under a directory resolved as:
 
 1. ``$REPRO_TRACE_CACHE_DIR`` when set;
@@ -50,28 +50,22 @@ from repro.common.integrity import (
 from repro.trace.io import (
     trace_from_bytes,
     trace_header_from_bytes,
-    trace_to_columnar_bytes,
+    trace_to_bytes,
 )
 from repro.trace.trace import Trace
 
 #: Bump to invalidate every persisted trace (e.g. after changing
 #: workload generation semantically).  Part of every entry's content
-#: address.  The payload *kind* is identified by suffix and magic, not
-#: by this number: version 2 addresses serve both envelope kinds below.
+#: address.
 TRACE_CACHE_VERSION = 2
 
-#: Entry file suffix for columnar (v3) payloads — what ``store`` writes.
+#: Entry file suffix — the only kind of entry the cache reads or writes.
 ENTRY_SUFFIX = ".trcbe"
 
-#: Entry file suffix for compact (v2) payloads.  Entries written by
-#: earlier releases keep working: ``load`` falls back to this suffix at
-#: the same content address, and ``entries``/``verify``/``clear`` cover
-#: both kinds.
-COMPACT_SUFFIX = ".trc2e"
-
-_ENTRY_SUFFIXES = (ENTRY_SUFFIX, COMPACT_SUFFIX)
-
-_LEGACY_SUFFIX = ".trc2.gz"
+#: Entry kinds earlier releases wrote (row-format payloads).  Nothing
+#: reads them; ``clear`` still removes them so upgraded machines
+#: reclaim the space.
+_RETIRED_PATTERNS = ("*.trc2e", "*.trc2.gz")
 
 _DISABLE_VALUES = ("off", "0", "no", "false")
 
@@ -95,19 +89,18 @@ def default_trace_cache() -> Optional["TraceCache"]:
 
 
 class TraceCache:
-    """Disk-persistent, in-process-memoised store of generated traces.
+    """Disk-persistent store of generated traces.
 
-    ``get`` resolves a trace through three layers: the in-process memo,
-    the on-disk entry, and finally workload synthesis (which persists
-    the result for every later process on the machine).  The counters
-    ``memory_hits`` / ``disk_hits`` / ``synthesised`` / ``stores`` /
+    :meth:`load_or_generate` resolves a trace through two layers: the
+    on-disk entry, then workload synthesis (which persists the result
+    for every later process on the machine).  In-process reuse is the
+    job of :class:`repro.workloads.store.TraceStore`'s LRU.  The
+    counters ``disk_hits`` / ``synthesised`` / ``stores`` /
     ``corrupt_quarantined`` make each layer's contribution observable.
     """
 
     def __init__(self, directory: Path) -> None:
         self.directory = Path(directory)
-        self._memo: Dict[Tuple[str, str], Trace] = {}
-        self.memory_hits = 0
         self.disk_hits = 0
         self.synthesised = 0
         self.stores = 0
@@ -136,14 +129,6 @@ class TraceCache:
             / f"{workload_name}-{input_name}-{digest}{ENTRY_SUFFIX}"
         )
 
-    def _candidate_paths(
-        self, workload_name: str, input_name: str
-    ) -> Tuple[Path, ...]:
-        """Load order for one entry: columnar first, then a compact
-        entry persisted by an earlier release at the same address."""
-        columnar = self.path_for(workload_name, input_name)
-        return columnar, columnar.with_suffix(COMPACT_SUFFIX)
-
     # Individual layers ------------------------------------------------
     def _quarantine(self, path: Path) -> None:
         quarantine(path)
@@ -161,24 +146,21 @@ class TraceCache:
         ``<name>.corrupt`` — not unlinked, not served — and reported as
         a miss so the caller regenerates it.
         """
-        for path in self._candidate_paths(workload_name, input_name):
-            if not path.exists():
-                continue
-            try:
-                payload = read_enveloped(path, site="trace_cache.read")
-                trace = trace_from_bytes(
-                    zlib.decompress(payload), source=str(path)
-                )
-            except (IntegrityError, TraceFormatError, zlib.error, EOFError):
-                self._quarantine(path)
-                continue
-            except OSError:
-                continue
-            self.disk_hits += 1
-            if obs.enabled():
-                obs.registry().counter("trace_cache_disk_hits_total").inc()
-            return trace
-        return None
+        path = self.path_for(workload_name, input_name)
+        if not path.exists():
+            return None
+        try:
+            payload = read_enveloped(path, site="trace_cache.read")
+            trace = trace_from_bytes(zlib.decompress(payload), source=str(path))
+        except (IntegrityError, TraceFormatError, zlib.error, EOFError):
+            self._quarantine(path)
+            return None
+        except OSError:
+            return None
+        self.disk_hits += 1
+        if obs.enabled():
+            obs.registry().counter("trace_cache_disk_hits_total").inc()
+        return trace
 
     def store(self, trace: Trace) -> Path:
         """Persist ``trace`` (enveloped; atomic temp + fsync + rename)."""
@@ -190,7 +172,7 @@ class TraceCache:
             key=f"{trace.workload}/{trace.input_name}",
         ):
             self.directory.mkdir(parents=True, exist_ok=True)
-            payload = zlib.compress(trace_to_columnar_bytes(trace), 6)
+            payload = zlib.compress(trace_to_bytes(trace), 6)
             write_enveloped(path, payload, site="trace_cache.write")
         self.stores += 1
         if obs.enabled():
@@ -200,8 +182,7 @@ class TraceCache:
     def load_or_generate(
         self, workload_name: str, input_name: str = "ref"
     ) -> Trace:
-        """Disk layer: read the entry, synthesising and persisting on a
-        miss.  (No in-process memoisation — see :meth:`get`.)"""
+        """Read the entry, synthesising and persisting it on a miss."""
         from repro.obs import tracing
 
         with tracing.span(
@@ -227,24 +208,11 @@ class TraceCache:
                 pass  # read-only cache dir: serve the trace uncached
         return trace
 
-    def get(self, workload_name: str, input_name: str = "ref") -> Trace:
-        """Full resolution: memo, then disk, then synthesis."""
-        memo_key = (workload_name, input_name)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            self.memory_hits += 1
-            if obs.enabled():
-                obs.registry().counter("trace_cache_memory_hits_total").inc()
-            return cached
-        trace = self.load_or_generate(workload_name, input_name)
-        self._memo[memo_key] = trace
-        return trace
-
     def ensure(self, workload_name: str, input_name: str = "ref") -> Path:
         """Guarantee the on-disk entry exists (parallel-run pre-warm)."""
         path = self.path_for(workload_name, input_name)
         if not path.exists():
-            self.get(workload_name, input_name)
+            self.load_or_generate(workload_name, input_name)
         return path
 
     # Introspection / maintenance --------------------------------------
@@ -264,11 +232,8 @@ class TraceCache:
             found.append((path, workload, input_name, count))
         return found
 
-    def _entry_paths(self):
-        paths = []
-        for suffix in _ENTRY_SUFFIXES:
-            paths.extend(self.directory.glob(f"*{suffix}"))
-        return sorted(paths)
+    def _entry_paths(self) -> List[Path]:
+        return sorted(self.directory.glob(f"*{ENTRY_SUFFIX}"))
 
     def verify(self) -> Dict[str, int]:
         """Check every entry's envelope and payload without serving any.
@@ -310,17 +275,12 @@ class TraceCache:
         }
 
     def clear(self) -> int:
-        """Delete every entry (including legacy-format and quarantined
+        """Delete every entry (including retired-format and quarantined
         ones); returns the number removed."""
         removed = 0
         if not self.directory.is_dir():
             return removed
-        patterns = (
-            f"*{ENTRY_SUFFIX}",
-            f"*{COMPACT_SUFFIX}",
-            f"*{_LEGACY_SUFFIX}",
-            f"*{CORRUPT_SUFFIX}",
-        )
+        patterns = (f"*{ENTRY_SUFFIX}", *_RETIRED_PATTERNS, f"*{CORRUPT_SUFFIX}")
         for pattern in patterns:
             for path in self.directory.glob(pattern):
                 try:
@@ -328,13 +288,11 @@ class TraceCache:
                     removed += 1
                 except OSError:
                     pass
-        self._memo.clear()
         return removed
 
     def stats(self) -> Dict[str, int]:
         """Layer-by-layer resolution counters."""
         return {
-            "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "synthesised": self.synthesised,
             "stores": self.stores,
@@ -343,6 +301,6 @@ class TraceCache:
 
     def __repr__(self) -> str:
         return (
-            f"TraceCache({self.directory}, mem={self.memory_hits}, "
-            f"disk={self.disk_hits}, synth={self.synthesised})"
+            f"TraceCache({self.directory}, disk={self.disk_hits}, "
+            f"synth={self.synthesised})"
         )

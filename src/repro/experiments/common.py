@@ -3,12 +3,18 @@ lists.
 
 Centralising these keeps every experiment honest: all of them profile
 values, build encoders, and replay caches exactly the same way.
+:func:`baseline_stats` and :func:`fvc_replay` are the one replay path
+per cell kind — the kernel when it accepts the cell, otherwise the
+oracle, audited by the runtime sanitizer (``REPRO_SANITIZE=1``) — for
+simulation cells (:func:`repro.engine.cells.run_cell`) and direct
+callers alike.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.analysis import sanitize
 from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.setassoc import SetAssociativeCache
@@ -75,14 +81,67 @@ def encoder_for(trace: Trace, top_values: int) -> FrequentValueEncoder:
     )
 
 
+def _checked(kind: str, trace: Trace, check, *args) -> None:
+    """Run one sanitizer check, prefixing violations with the replay's
+    context."""
+    try:
+        check(*args)
+    except sanitize.SanitizeViolation as exc:
+        raise sanitize.SanitizeViolation(
+            f"{kind} cell {trace.workload}/{trace.input_name}: {exc}"
+        ) from exc
+
+
 def baseline_stats(trace: Trace, geometry: CacheGeometry) -> CacheStats:
     """Miss statistics of the conventional cache alone."""
     stats = dispatch.try_baseline_stats(trace, geometry)
     if stats is not None:
         return stats
     if geometry.ways == 1:
-        return DirectMappedCache(geometry).simulate_batch(trace.records)
-    return SetAssociativeCache(geometry).simulate_batch(trace.records)
+        cache = DirectMappedCache(geometry)
+    else:
+        cache = SetAssociativeCache(geometry)
+    stats = cache.simulate_batch(trace.records)
+    if sanitize.enabled():
+        _checked(
+            "baseline", trace, sanitize.check_baseline, cache, len(trace.records)
+        )
+    return stats
+
+
+def fvc_replay(
+    trace: Trace, geometry: CacheGeometry, fvc_entries: int, top_values: int
+) -> Tuple[CacheStats, Dict[str, int]]:
+    """Miss statistics and hit breakdown of the default-configuration
+    cache + FVC system."""
+    encoder = encoder_for(trace, top_values)
+    replayed = dispatch.try_fvc_replay(trace, geometry, fvc_entries, encoder)
+    if replayed is not None:
+        return replayed
+    sanitizing = sanitize.enabled()
+    system = FvcSystem(
+        geometry,
+        fvc_entries,
+        encoder,
+        config=sanitize.sanitized_fvc_config() if sanitizing else None,
+    )
+    audit = sanitize.attach_fvc_system(system) if sanitizing else None
+    stats = system.simulate_batch(trace.records)
+    if sanitizing:
+        _checked(
+            "fvc",
+            trace,
+            sanitize.check_fvc_system,
+            system,
+            len(trace.records),
+            audit,
+        )
+    return stats, {
+        "main_hits": system.main_hits,
+        "fvc_hits": system.fvc_hits,
+        "fvc_read_hits": system.fvc_read_hits,
+        "fvc_write_hits": system.fvc_write_hits,
+    }
 
 
 def fvc_stats(
@@ -93,7 +152,7 @@ def fvc_stats(
     config: Optional[FvcSystemConfig] = None,
 ) -> Tuple[CacheStats, FvcSystem]:
     """Miss statistics of the cache + FVC system (and the system, for
-    occupancy/breakdown inspection)."""
+    occupancy/breakdown inspection) — always the oracle, unaudited."""
     system = FvcSystem(
         geometry, fvc_entries, encoder_for(trace, top_values), config=config
     )
@@ -109,17 +168,14 @@ def fvc_miss_stats(
     config: Optional[FvcSystemConfig] = None,
 ) -> CacheStats:
     """Miss statistics of the cache + FVC system when the simulated
-    system itself is not needed afterwards — the kernel-eligible path.
+    system itself is not needed afterwards.
 
-    Only the default configuration is in the kernels' proven envelope;
-    any custom ``config`` (and any kernel decline) replays the oracle.
+    Only the default configuration is in the kernels' proven envelope
+    and goes through :func:`fvc_replay`; a custom ``config`` replays
+    the oracle through :func:`fvc_stats`.
     """
     if config is None:
-        replayed = dispatch.try_fvc_replay(
-            trace, geometry, fvc_entries, encoder_for(trace, top_values)
-        )
-        if replayed is not None:
-            return replayed[0]
+        return fvc_replay(trace, geometry, fvc_entries, top_values)[0]
     return fvc_stats(trace, geometry, fvc_entries, top_values, config=config)[0]
 
 

@@ -49,7 +49,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "engine_cell_references_total",
         "engine_cell_seconds",
         # Engine: content-addressed trace cache (repro.engine.trace_cache).
-        "trace_cache_memory_hits_total",
         "trace_cache_disk_hits_total",
         "trace_cache_synthesised_total",
         "trace_cache_stores_total",

@@ -10,12 +10,7 @@ wraps that list with metadata and analysis helpers.
 from repro.trace.record import LOAD, STORE, Access
 from repro.trace.trace import Trace
 from repro.trace.stats import TraceStats, compute_stats
-from repro.trace.io import (
-    read_trace,
-    read_trace_any,
-    write_trace,
-    write_trace_compact,
-)
+from repro.trace.io import read_trace, write_trace
 from repro.trace.synth import (
     cyclic_trace,
     ping_pong_trace,
@@ -39,9 +34,7 @@ __all__ = [
     "TraceStats",
     "compute_stats",
     "read_trace",
-    "read_trace_any",
     "write_trace",
-    "write_trace_compact",
     "filter_loads",
     "filter_stores",
     "filter_address_range",

@@ -237,6 +237,40 @@ class TestRunCellIntegration:
         assert checked.extras == plain.extras
 
 
+class TestExperimentHelpers:
+    def test_helpers_are_audited(self, store, monkeypatch):
+        """The helpers fig15 and the ablation/extension studies call
+        directly replay through the same audited path as ``run_cell``."""
+        from repro.experiments.common import baseline_stats, fvc_miss_stats
+
+        monkeypatch.setenv(sanitize.ENV_VAR, "1")
+        trace = store.get("go", "test")
+        geometry = CacheGeometry(4 * 1024, 32)
+        baseline_stats(trace, geometry)
+        fvc_miss_stats(trace, geometry, 512, top_values=7)
+        counts = sanitize.counters()
+        for kind in (
+            "baseline_conservation",
+            "fvc_occupancy",
+            "writeback_conservation",
+        ):
+            assert counts.get(kind) == 1, kind
+
+    def test_violation_names_the_replay(self, store, monkeypatch):
+        from repro.experiments import common
+
+        monkeypatch.setenv(sanitize.ENV_VAR, "1")
+
+        def broken(cache, accesses):
+            raise SanitizeViolation("fill conservation broken")
+
+        monkeypatch.setattr(common.sanitize, "check_baseline", broken)
+        with pytest.raises(SanitizeViolation, match="baseline cell go/test"):
+            common.baseline_stats(
+                store.get("go", "test"), CacheGeometry(4 * 1024, 32)
+            )
+
+
 @pytest.mark.slow
 class TestBitIdentityRegression:
     def test_fig13_parallel_sanitized_equals_sequential_plain(self, store):

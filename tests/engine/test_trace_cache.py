@@ -1,8 +1,11 @@
 """Tests for the content-addressed on-disk trace cache."""
 
+import struct
+import zlib
+
 import pytest
 
-from repro.common.integrity import read_enveloped
+from repro.common.integrity import read_enveloped, write_enveloped
 from repro.engine.trace_cache import (
     TRACE_CACHE_VERSION,
     TraceCache,
@@ -16,6 +19,12 @@ from repro.workloads.store import TraceStore
 @pytest.fixture()
 def cache(tmp_path) -> TraceCache:
     return TraceCache(tmp_path / "traces")
+
+
+def _row_format_bytes() -> bytes:
+    """A one-record go/test trace in the retired version-1 row format."""
+    header = struct.pack("<4sHHHHQQ", b"FVTR", 1, 2, 4, 0, 1, 0)
+    return header + b"gotest" + struct.pack("<BII", 0, 16, 1)
 
 
 class TestContentAddressing:
@@ -50,10 +59,9 @@ class TestContentAddressing:
 
 class TestLayers:
     def test_first_get_synthesises_and_persists(self, cache):
-        trace = cache.get("go", "test")
+        trace = cache.load_or_generate("go", "test")
         assert len(trace) > 0
         assert cache.stats() == {
-            "memory_hits": 0,
             "disk_hits": 0,
             "synthesised": 1,
             "stores": 1,
@@ -61,22 +69,14 @@ class TestLayers:
         }
         assert cache.path_for("go", "test").exists()
 
-    def test_second_get_hits_the_memo(self, cache):
-        first = cache.get("go", "test")
-        second = cache.get("go", "test")
-        assert second is first
-        assert cache.memory_hits == 1
-        assert cache.synthesised == 1
-
     def test_fresh_process_hits_the_disk(self, cache):
-        original = cache.get("go", "test")
+        original = cache.load_or_generate("go", "test")
         fresh = TraceCache(cache.directory)  # simulates a new process
-        loaded = fresh.get("go", "test")
+        loaded = fresh.load_or_generate("go", "test")
         assert loaded == original
         assert loaded.workload == "go"
         assert loaded.instruction_count == original.instruction_count
         assert fresh.stats() == {
-            "memory_hits": 0,
             "disk_hits": 1,
             "synthesised": 0,
             "stores": 0,
@@ -84,7 +84,7 @@ class TestLayers:
         }
 
     def test_corrupt_entry_is_quarantined_and_regenerated(self, cache):
-        cache.get("go", "test")
+        cache.load_or_generate("go", "test")
         path = cache.path_for("go", "test")
         path.write_bytes(b"not a trace file")
         fresh = TraceCache(cache.directory)
@@ -94,19 +94,17 @@ class TestLayers:
         assert not path.exists()
         assert path.with_name(path.name + ".corrupt").exists()
         assert fresh.corrupt_quarantined == 1
-        assert len(fresh.get("go", "test")) > 0
+        assert len(fresh.load_or_generate("go", "test")) > 0
         assert fresh.synthesised == 1
 
     def test_entries_and_clear(self, cache):
-        cache.get("go", "test")
-        cache.get("compress", "test")
+        cache.load_or_generate("go", "test")
+        cache.load_or_generate("compress", "test")
         entries = cache.entries()
         assert {(w, i) for _, w, i, _ in entries} == {
             ("go", "test"),
             ("compress", "test"),
         }
-        import zlib
-
         for path, _, _, count in entries:
             payload = zlib.decompress(read_enveloped(path))
             version, workload, _, header_count, _ = trace_header_from_bytes(
@@ -117,29 +115,36 @@ class TestLayers:
         assert cache.clear() == 2
         assert cache.entries() == []
 
-    def test_legacy_compact_entry_is_served(self, cache):
-        """An entry persisted by an earlier release (compact v2 bytes
-        under ``.trc2e``) still loads at the same content address."""
-        import zlib
-
-        from repro.common.integrity import write_enveloped
-        from repro.engine.trace_cache import COMPACT_SUFFIX
-        from repro.trace.io import trace_to_compact_bytes
-        from repro.workloads.registry import get_workload
-
-        trace = get_workload("go").generate_trace("test")
-        legacy = cache.path_for("go", "test").with_suffix(COMPACT_SUFFIX)
+    def test_legacy_compact_entry_is_not_served(self, cache):
+        """A ``.trc2e`` file an earlier release left at an entry's
+        address is neither served nor listed; ``clear`` reclaims it."""
+        legacy = cache.path_for("go", "test").with_suffix(".trc2e")
         cache.directory.mkdir(parents=True, exist_ok=True)
-        write_enveloped(
-            legacy, zlib.compress(trace_to_compact_bytes(trace), 6)
-        )
-        loaded = cache.load("go", "test")
-        assert loaded == trace
-        assert cache.disk_hits == 1
-        # Both kinds are visible to maintenance commands.
-        assert {(w, i) for _, w, i, _ in cache.entries()} == {("go", "test")}
-        assert cache.verify()["ok"] == 1
+        write_enveloped(legacy, zlib.compress(_row_format_bytes(), 6))
+        assert cache.load("go", "test") is None
+        assert cache.entries() == []
+        assert cache.verify()["checked"] == 0
+        assert legacy.exists()  # ignored, not quarantined
         assert cache.clear() == 1
+        assert not legacy.exists()
+
+    def test_row_format_payload_is_quarantined(self, cache):
+        """A ``.trcbe`` entry whose payload is a retired row-format trace
+        is corrupt: ``verify`` quarantines it and ``load`` never serves
+        it."""
+        path = cache.path_for("go", "test")
+        cache.directory.mkdir(parents=True, exist_ok=True)
+        write_enveloped(path, zlib.compress(_row_format_bytes(), 6))
+        report = cache.verify()
+        assert (report["checked"], report["quarantined"]) == (1, 1)
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+
+        write_enveloped(path, zlib.compress(_row_format_bytes(), 6))
+        fresh = TraceCache(cache.directory)
+        assert fresh.load("go", "test") is None
+        assert fresh.corrupt_quarantined == 1
+        assert fresh.disk_hits == 0
 
     def test_ensure_creates_the_entry(self, cache):
         path = cache.ensure("go", "test")
@@ -254,7 +259,7 @@ class TestConcurrentWriters:
         """The atomic-rename contract itself: payload is written to a
         mkstemp-private file and lands via a single os.replace (the
         publication step lives in repro.common.integrity now)."""
-        trace = cache.get("go", "test")
+        trace = cache.load_or_generate("go", "test")
         calls = []
         real_replace = __import__("os").replace
 
@@ -279,7 +284,7 @@ class TestConcurrentWriters:
         writer A sits between its temp write and its rename; A's
         replace then lands over B's entry — and the entry stays whole
         because A replaces a complete file with a complete file."""
-        trace = cache.get("go", "test")
+        trace = cache.load_or_generate("go", "test")
         real_replace = __import__("os").replace
         state = {"interleaved": False}
 

@@ -126,7 +126,7 @@ class TestReplayDeterminism:
             plan = FaultPlan.parse(spec)
             install(plan)
             cache = TraceCache(tmp_path / name)
-            cache.get("go", "test")  # synthesise + persist, no reads
+            cache.load_or_generate("go", "test")  # synthesise + persist, no reads
             pattern = [
                 cache.load("go", "test") is not None for _ in range(10)
             ]

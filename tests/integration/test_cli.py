@@ -49,6 +49,25 @@ class TestCli:
 
         assert len(read_trace(path)) > 1000
 
+    def test_trace_gen_writes_columnar_whatever_the_suffix(self, tmp_path):
+        for name in ("go.trc", "go.trcb", "go.bin"):
+            path = tmp_path / name
+            argv = ["trace", "gen", "go", "--input", "test", "-o", str(path)]
+            assert main(argv) == 0
+            assert path.read_bytes()[:4] == b"FVTC"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "gen", "go", "-o", "x.trc", "--compact"],
+            ["trace", "gen", "go", "-o", "x.trc", "--columnar"],
+            ["trace", "convert", "a.trc", "b.trcb"],
+        ],
+    )
+    def test_retired_trace_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+
     def test_report(self, capsys):
         assert main(
             ["report", "go", "--input", "test", "--no-occurrence"]

@@ -112,7 +112,7 @@ class TestPurePythonFunctional:
         assert results[1].extras["fvc_hits"] >= 0
 
     def test_columnar_io_round_trips_without_numpy(self, no_numpy, tmp_path):
-        from repro.trace.io import read_trace_any, write_trace_columnar
+        from repro.trace.io import read_trace, write_trace
 
         trace = Trace(
             [(0, 16, 1), (1, 0xFFFFFFF0, 0xFFFFFFFF), (0, 32, 7)],
@@ -120,5 +120,5 @@ class TestPurePythonFunctional:
             input_name="test",
         )
         path = tmp_path / "t.trcb"
-        write_trace_columnar(trace, path)
-        assert read_trace_any(path) == trace
+        write_trace(trace, path)
+        assert read_trace(path) == trace

@@ -84,12 +84,12 @@ def test_columnar_trace_yields_identical_cell_results(
     # trace vs the kernels over a trace round-tripped through the
     # columnar file format, compared field by field.
     from repro.engine.cells import SimCell, run_cell
-    from repro.trace.io import read_trace_any, write_trace_columnar
+    from repro.trace.io import read_trace, write_trace
 
     trace = store.get("gcc", "test")
     path = tmp_path / "gcc.trcb"
-    write_trace_columnar(trace, path)
-    loaded = read_trace_any(path)
+    write_trace(trace, path)
+    loaded = read_trace(path)
     assert loaded == trace
 
     cell = SimCell(

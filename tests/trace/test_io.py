@@ -63,7 +63,7 @@ class TestErrorHandling:
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.trc"
-        path.write_bytes(b"FVTR")
+        path.write_bytes(b"FVTC")
         with pytest.raises(TraceFormatError):
             read_trace(path)
 

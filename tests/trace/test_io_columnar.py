@@ -1,7 +1,9 @@
-"""Tests for the columnar (version 3) binary trace format."""
+"""Tests for the binary trace format (columnar, version 3) — the one
+encoding trace files, cache entries and the cluster wire use."""
 
 from __future__ import annotations
 
+import gzip
 import struct
 import zlib
 
@@ -11,16 +13,13 @@ from hypothesis import strategies as st
 
 from repro.common.errors import TraceFormatError
 from repro.trace.io import (
-    _COLUMNAR_HEADER,
+    _HEADER,
     columnar_layout,
-    read_trace_any,
-    read_trace_columnar,
-    read_trace_header,
+    read_trace,
     trace_from_bytes,
-    trace_to_columnar_bytes,
+    trace_header_from_bytes,
+    trace_to_bytes,
     write_trace,
-    write_trace_columnar,
-    write_trace_compact,
 )
 from repro.trace.trace import Trace
 
@@ -43,51 +42,51 @@ def _sample_trace() -> Trace:
     )
 
 
+#: File names every round trip is tried under: the suffix never selects
+#: the encoding, and ``.gz`` adds transparent gzip compression.
+_NAMES = ("t.trcb", "t.trc", "t.trcb.gz")
+
+
 class TestColumnarRoundtrip:
     def test_simple_roundtrip(self, tmp_path):
         trace = _sample_trace()
-        path = tmp_path / "t.trcb"
-        write_trace_columnar(trace, path)
-        loaded = read_trace_columnar(path)
-        assert loaded == trace
-        assert loaded.workload == "gcc"
-        assert loaded.input_name == "ref"
-        assert loaded.instruction_count == 42
+        for name in _NAMES:
+            path = tmp_path / name
+            write_trace(trace, path)
+            loaded = read_trace(path)
+            assert loaded == trace
+            assert loaded.workload == "gcc"
+            assert loaded.input_name == "ref"
+            assert loaded.instruction_count == 42
+        # gzip wraps the encoding without changing it.
+        packed = (tmp_path / "t.trcb.gz").read_bytes()
+        assert gzip.decompress(packed) == trace_to_bytes(trace)
 
     def test_empty_trace(self, tmp_path):
-        trace = Trace([], workload="w")
-        path = tmp_path / "t.trcb"
-        write_trace_columnar(trace, path)
-        assert read_trace_any(path) == trace
+        for trace in (Trace(), Trace([], workload="w")):
+            for name in _NAMES:
+                path = tmp_path / name
+                write_trace(trace, path)
+                loaded = read_trace(path)
+                assert loaded == trace
+                assert len(loaded) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(records=_records)
     def test_roundtrip_property(self, tmp_path_factory, records):
-        trace = Trace(records, workload="p")
-        path = tmp_path_factory.mktemp("traces") / "t.trcb"
-        write_trace_columnar(trace, path)
-        assert read_trace_any(path).records == records
-
-    def test_read_any_dispatches_across_all_three_formats(self, tmp_path):
-        trace = _sample_trace()
-        v1 = tmp_path / "v1.trc"
-        v2 = tmp_path / "v2.trc2"
-        v3 = tmp_path / "v3.trcb"
-        write_trace(trace, v1)
-        write_trace_compact(trace, v2)
-        write_trace_columnar(trace, v3)
-        assert (
-            read_trace_any(v1)
-            == read_trace_any(v2)
-            == read_trace_any(v3)
-            == trace
-        )
+        trace = Trace(records, workload="p", input_name="q")
+        directory = tmp_path_factory.mktemp("traces")
+        for name in ("t.trcb", "t.trcb.gz"):
+            write_trace(trace, directory / name)
+            assert read_trace(directory / name).records == records
 
     def test_header_of_columnar_file(self, tmp_path):
         trace = _sample_trace()
         path = tmp_path / "t.trcb"
-        write_trace_columnar(trace, path)
-        assert read_trace_header(path) == (3, "gcc", "ref", 4, 42)
+        write_trace(trace, path)
+        assert trace_header_from_bytes(path.read_bytes()) == (
+            3, "gcc", "ref", 4, 42,
+        )
 
 
 class TestColumnarLayout:
@@ -101,7 +100,7 @@ class TestColumnarLayout:
 
     def test_layout_matches_real_bytes(self):
         trace = _sample_trace()
-        data = trace_to_columnar_bytes(trace)
+        data = trace_to_bytes(trace)
         _, _, _, total = columnar_layout(
             len(trace.records), len(b"gcc"), len(b"ref")
         )
@@ -111,40 +110,61 @@ class TestColumnarLayout:
 class TestColumnarErrors:
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "t.trcb"
-        path.write_bytes(b"FVTC\x03\x00")
-        with pytest.raises(TraceFormatError):
-            read_trace_any(path)
+        for data in (b"FVTC\x03\x00", b"FVTC" + bytes(32)):
+            path.write_bytes(data)
+            with pytest.raises(TraceFormatError, match="truncated header"):
+                read_trace(path)
+
+    def test_truncated_metadata(self):
+        data = trace_to_bytes(_sample_trace())
+        with pytest.raises(TraceFormatError, match="truncated metadata"):
+            trace_header_from_bytes(data[: _HEADER.size + 2])
 
     def test_truncated_column(self, tmp_path):
         trace = _sample_trace()
         path = tmp_path / "t.trcb"
-        write_trace_columnar(trace, path)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(TraceFormatError):
-            read_trace_any(path)
+        write_trace(trace, path)
+        for cut in (4, 5):
+            path.write_bytes(trace_to_bytes(trace)[:-cut])
+            with pytest.raises(TraceFormatError):
+                read_trace(path)
 
     def test_corrupt_column_is_named_by_its_checksum(self):
-        data = bytearray(trace_to_columnar_bytes(_sample_trace()))
+        data = bytearray(trace_to_bytes(_sample_trace()))
         data[-1] ^= 0xFF  # last byte of the value column
         with pytest.raises(TraceFormatError, match="value"):
             trace_from_bytes(bytes(data))
 
     def test_unknown_version_rejected(self):
-        data = bytearray(trace_to_columnar_bytes(_sample_trace()))
+        data = bytearray(trace_to_bytes(_sample_trace()))
         struct.pack_into("<H", data, 4, 99)
         with pytest.raises(TraceFormatError, match="version"):
             trace_from_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="version"):
+            trace_header_from_bytes(bytes(data))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.trcb"
         path.write_bytes(b"NOPE" + b"\x00" * 60)
-        with pytest.raises(TraceFormatError):
-            read_trace_any(path)
+        with pytest.raises(TraceFormatError, match="bad magic"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_row_format_rejected_with_regeneration_hint(self, tmp_path, version):
+        # A file in a retired row format (version 1 fixed rows or
+        # version 2 delta/varint): header, names, then one record.
+        header = struct.pack("<4sHHHHQQ", b"FVTR", version, 3, 3, 0, 1, 0)
+        path = tmp_path / "old.trc"
+        path.write_bytes(header + b"gccref" + struct.pack("<BII", 0, 16, 1))
+        with pytest.raises(TraceFormatError, match="repro-fvc trace gen"):
+            read_trace(path)
+        with pytest.raises(TraceFormatError, match="repro-fvc trace gen"):
+            trace_header_from_bytes(path.read_bytes())
 
     def test_out_of_domain_record_rejected_at_write(self):
         trace = Trace([(0, 2**33, 1)], workload="syn")
         with pytest.raises(TraceFormatError):
-            trace_to_columnar_bytes(trace)
+            trace_to_bytes(trace)
 
 
 class TestBackendByteIdentity:
@@ -155,16 +175,16 @@ class TestBackendByteIdentity:
         import sys
 
         trace = _sample_trace()
-        with_numpy = trace_to_columnar_bytes(trace)
+        with_numpy = trace_to_bytes(trace)
         monkeypatch.setitem(sys.modules, "numpy", None)
-        without_numpy = trace_to_columnar_bytes(trace)
+        without_numpy = trace_to_bytes(trace)
         assert with_numpy == without_numpy
 
     def test_fallback_reader_round_trips(self, monkeypatch):
         import sys
 
         trace = _sample_trace()
-        data = trace_to_columnar_bytes(trace)
+        data = trace_to_bytes(trace)
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert trace_from_bytes(data) == trace
 
@@ -176,11 +196,8 @@ class TestCompression:
              for index in range(20000)],
             workload="syn",
         )
-        from repro.trace.io import trace_to_compact_bytes
-
-        columnar = zlib.compress(trace_to_columnar_bytes(trace), 6)
-        # The envelope the trace cache persists: columnar entries stay
-        # in the same size class as the delta-coded compact format.
+        columnar = zlib.compress(trace_to_bytes(trace), 6)
+        # The payload the trace cache persists stays below the 9 bytes
+        # per record a fixed-row encoding takes before compression.
         assert len(columnar) < len(trace.records) * 9
-        assert _COLUMNAR_HEADER.size == 40
-        assert trace_to_compact_bytes(trace)  # both formats available
+        assert _HEADER.size == 40
