@@ -22,7 +22,7 @@ from repro import api
 
 
 def main() -> None:
-    # 1. The catalog: every fig*/table* experiment plus standalone
+    # 1. The catalog: the cell grids of fig10/12/13/14 plus standalone
     #    studies, inspectable without running anything.
     print("catalogued sweeps:", ", ".join(api.list_sweeps()))
     shape = api.describe_sweep("l1_size_study", fast=True)

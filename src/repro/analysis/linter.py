@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Set, TextIO, Tuple
 
 from repro.analysis.rules import ALL_RULES, ProjectRule, Rule, SourceFile
 from repro.analysis.rules.base import package_relpath
+from repro.common.errors import ConfigurationError
 
 #: How many ``# repro: allow[...]`` suppressions one lint run may use.
 DEFAULT_SUPPRESSION_BUDGET = 5
@@ -152,7 +153,12 @@ def _load(path: Path) -> Tuple[Optional[SourceFile], Optional[Finding]]:
 
 
 class Linter:
-    """Runs a rule set over a file set and applies suppressions."""
+    """Runs a rule set over a file set and applies suppressions.
+
+    ``select`` narrows the rule set to the given codes; a code that
+    names no rule raises :class:`ConfigurationError`, so a stale code
+    can never pass by checking nothing.
+    """
 
     def __init__(
         self,
@@ -163,6 +169,13 @@ class Linter:
         self.rules: List[Rule] = list(ALL_RULES if rules is None else rules)
         if select:
             wanted = {code.strip().upper() for code in select}
+            known = sorted(rule.code for rule in self.rules)
+            unknown = sorted(wanted - set(known))
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown rule code(s) {', '.join(unknown)} "
+                    f"(known: {', '.join(known)})"
+                )
             self.rules = [rule for rule in self.rules if rule.code in wanted]
         self.budget = budget
 
@@ -404,6 +417,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output_format=args.output_format,
             output_path=args.output,
         )
+    except ConfigurationError as exc:
+        print(f"lint: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - exit-code contract
         # Findings exit 1; an analyzer crash must be distinguishable
         # from "the tree has findings", so internal errors exit 2.

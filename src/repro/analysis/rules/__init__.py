@@ -6,7 +6,6 @@ instance here.  Codes are grouped by family:
 
 ======== ==========================================================
 DET0xx   determinism (randomness, ordering, wall clock)
-REG0xx   registration/coverage consistency
 API0xx   canonical serialisation
 STAT0xx  statistics declaration/reporting
 FLT0xx   fault-injection coverage of hardened IO paths
@@ -15,7 +14,6 @@ PERF0xx  performance (vectorized-kernel discipline)
 CONC0xx  whole-program lock discipline (repro.analysis.model)
 PROTO0xx /v1 protocol conformance (server vs clients vs docs)
 COV0xx   catalog liveness (fault sites tested, metrics emitted)
-SWEEP0xx declarative-sweep backing of the experiment registry
 ======== ==========================================================
 """
 
@@ -40,16 +38,13 @@ from repro.analysis.rules.faults import FaultPointCoverage
 from repro.analysis.rules.obs import RegisteredMetricNames
 from repro.analysis.rules.perf import NoPerRecordKernelLoops
 from repro.analysis.rules.proto import ClientCallsUnknownRoute, RouteContractDrift
-from repro.analysis.rules.registry import RegistryConsistency
 from repro.analysis.rules.stats import CountersDeclaredAndReported
-from repro.analysis.rules.sweeps import SweepBackedExperiments
 
 #: Default rule set, code order.
 ALL_RULES: Tuple[Rule, ...] = (
     NoAdHocRandomness(),
     NoUnorderedIteration(),
     NoWallClock(),
-    RegistryConsistency(),
     CanonicalJsonOnly(),
     CountersDeclaredAndReported(),
     FaultPointCoverage(),
@@ -62,7 +57,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     RouteContractDrift(),
     FaultSitesExercised(),
     MetricNamesEmitted(),
-    SweepBackedExperiments(),
 )
 
 __all__ = [
@@ -83,8 +77,6 @@ __all__ = [
     "NoUnorderedIteration",
     "NoWallClock",
     "RegisteredMetricNames",
-    "RegistryConsistency",
     "RouteContractDrift",
     "SharedWriteWithoutLock",
-    "SweepBackedExperiments",
 ]

@@ -286,8 +286,10 @@ def describe_sweep(spec, *, fast: bool = False) -> Dict:
 
 
 def list_sweeps() -> List[str]:
-    """Every catalogued sweep name (the 16 ``fig*``/``table*`` paper
-    studies plus the cross-cutting studies), sorted."""
+    """Every catalogued sweep name, sorted: the cell grids of the
+    fig10/12/13/14 experiments plus the standalone studies.  Every
+    other paper figure/table is an experiment
+    (:func:`list_experiments`, :func:`run_experiment`)."""
     from repro.sweeps.catalog import sweep_names
 
     return sweep_names()

@@ -229,6 +229,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.linter import merge_selected_codes
     from repro.analysis.linter import run as lint_run
+    from repro.common.errors import ConfigurationError
 
     try:
         return lint_run(
@@ -239,6 +240,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             output_format=args.output_format,
             output_path=args.output,
         )
+    except ConfigurationError as exc:
+        print(f"lint: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - exit-code contract
         # 0 clean / 1 findings / 2 analyzer crash.
         print(f"lint: internal error: {exc}", file=sys.stderr)
@@ -618,20 +622,13 @@ def _run_sweep_to(token, fast, jobs, fmt, output) -> int:
 
 def _cmd_sweep_list(_args: argparse.Namespace) -> int:
     from repro.sweeps.catalog import get_sweep, sweep_names
-    from repro.sweeps.spec import is_experiment_sweep
 
     for name in sweep_names():
         spec = get_sweep(name)
-        if is_experiment_sweep(spec):
-            arm = spec["arms"][0]
-            shape = f"experiment wrapper ({arm['experiment_id']})"
-        else:
-            axes = ", ".join(
-                f"{axis}[{len(values)}]"
-                for axis, values in spec["axes"].items()
-            )
-            shape = f"{len(spec['arms'])} arm(s) x {axes}"
-        print(f"  {name:22s} {shape}")
+        axes = ", ".join(
+            f"{axis}[{len(values)}]" for axis, values in spec["axes"].items()
+        )
+        print(f"  {name:22s} {len(spec['arms'])} arm(s) x {axes}")
     return 0
 
 
@@ -649,7 +646,6 @@ def _cmd_sweep_expand(args: argparse.Namespace) -> int:
     from repro.common.errors import ConfigurationError
     from repro.sweeps.expand import expand
     from repro.sweeps.runner import describe_sweep
-    from repro.sweeps.spec import is_experiment_sweep
 
     try:
         spec = _resolve_cli_sweep(args.sweep, args.fast)
@@ -662,9 +658,6 @@ def _cmd_sweep_expand(args: argparse.Namespace) -> int:
         f"points={description['points']}  "
         f"distinct_cells={description['distinct_cells']}"
     )
-    if is_experiment_sweep(spec):
-        print(f"  wraps experiment {description['experiment_id']}")
-        return 0
     for point in expand(spec):
         coords = " ".join(
             f"{axis}={value}" for axis, value in point.coords.items()

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.engine.cells import CellResult, SimCell, run_cell
+from repro.engine.cells import CellResult, SimCell
 from repro.workloads.store import TraceStore, shared_store
 
 Row = Dict[str, object]
@@ -70,7 +69,7 @@ class ExperimentResult:
         return None
 
 
-class Experiment(ABC):
+class Experiment:
     """One reproducible table/figure.
 
     ``fast=True`` runs a reduced version (test inputs, fewer
@@ -85,11 +84,16 @@ class Experiment(ABC):
     #: Where in the paper the artefact lives.
     paper_reference: str = ""
 
-    @abstractmethod
     def run(
         self, store: Optional[TraceStore] = None, fast: bool = False
     ) -> ExperimentResult:
-        """Execute the experiment and return its result."""
+        """Execute the experiment and return its result.
+
+        A grid experiment (one that implements :meth:`plan_cells`)
+        inherits this: it runs its cells through
+        :meth:`run_with_engine`.  Every other experiment overrides it.
+        """
+        return self.run_with_engine(store, fast=fast)
 
     # Engine integration ---------------------------------------------------
     def plan_cells(self, fast: bool = False) -> Optional[List[SimCell]]:
@@ -98,8 +102,8 @@ class Experiment(ABC):
         sweeps whose configurations share warm simulator state).
 
         Experiments that implement this must also implement
-        :meth:`merge_cells`, and should express :meth:`run` through the
-        same pair so sequential and parallel runs share one code path.
+        :meth:`merge_cells`; their cell grid is the catalogued sweep of
+        the same name (:meth:`sweep_backing`).
         """
         return None
 
@@ -116,8 +120,8 @@ class Experiment(ABC):
         )
 
     def sweep_backing(self, fast: bool = False) -> Dict[str, object]:
-        """The catalogued ``sweep/v1`` spec backing this experiment
-        (every fig*/table* has one; see :mod:`repro.sweeps.catalog`)."""
+        """The catalogued ``sweep/v1`` spec holding this grid
+        experiment's cell grid (see :mod:`repro.sweeps.catalog`)."""
         from repro.sweeps.catalog import get_sweep
 
         return get_sweep(self.experiment_id, fast=fast)
@@ -139,9 +143,11 @@ class Experiment(ABC):
         checkpoint=None,
         executor=None,
     ) -> ExperimentResult:
-        """Run, fanning simulation cells across ``jobs`` processes when
-        the experiment decomposes; deterministic — results are merged in
-        plan order and are bit-identical to a sequential :meth:`run`.
+        """Run: plan the cells, execute them through
+        :func:`repro.engine.runner.run_cells` (across ``jobs`` processes
+        when asked) and merge them in plan order, so any ``jobs`` value
+        gives bit-identical results.  An experiment without cells runs
+        its own :meth:`run`.
 
         ``progress`` / ``should_cancel`` / ``checkpoint`` are the
         engine's cell-boundary hooks and ``executor`` its alternative
@@ -149,35 +155,21 @@ class Experiment(ABC):
         they only take effect when the experiment decomposes into
         cells.
         """
-        if (
-            jobs > 1
-            or progress is not None
-            or should_cancel is not None
-            or checkpoint is not None
-            or executor is not None
-        ):
-            plan = self.plan_cells(fast)
-            if plan is not None:
-                from repro.engine.runner import run_cells
+        plan = self.plan_cells(fast)
+        if plan is None:
+            return self.run(store, fast=fast)
+        from repro.engine.runner import run_cells
 
-                results = run_cells(
-                    plan,
-                    jobs=jobs,
-                    store=self._store(store),
-                    progress=progress,
-                    should_cancel=should_cancel,
-                    checkpoint=checkpoint,
-                    executor=executor,
-                )
-                return self.merge_cells(plan, results, fast)
-        return self.run(store, fast=fast)
-
-    def _run_cells(
-        self, cells: Sequence[SimCell], store: Optional[TraceStore]
-    ) -> List[CellResult]:
-        """Execute cells sequentially through the caller's store."""
-        store = self._store(store)
-        return [run_cell(cell, store) for cell in cells]
+        results = run_cells(
+            plan,
+            jobs=jobs,
+            store=self._store(store),
+            progress=progress,
+            should_cancel=should_cancel,
+            checkpoint=checkpoint,
+            executor=executor,
+        )
+        return self.merge_cells(plan, results, fast)
 
     def _store(self, store: Optional[TraceStore]) -> TraceStore:
         return store if store is not None else shared_store

@@ -6,29 +6,20 @@ FVC (conflict pairs need only a few entries); go, gcc and vortex grow
 steadily with FVC size (compressed capacity); li shows the smallest
 reduction.
 
-The cell plan is derived from the ``fig10`` spec in
-:mod:`repro.sweeps.catalog` (one baseline + one cell per FVC size per
-workload), so ``repro-fvc run fig10 --jobs N`` fans the 6x8 grid across
-cores; the sequential run executes the identical cells in order.
+The grid is the ``fig10`` spec in :mod:`repro.sweeps.catalog` (per
+workload, one baseline then one cell per FVC size): the plan is its
+expansion and the merge reads its axes, so ``--jobs N`` fans the grid
+across cores and a sequential run executes the identical cells in
+order.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.engine.cells import CellResult, SimCell
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import (
-    FVL_NAMES,
-    reduction_percent,
-)
-from repro.workloads.store import TraceStore
-
-
-def _sizes(fast: bool) -> Sequence[int]:
-    from repro.sweeps.catalog import FIG10_FAST_SIZES, FIG10_SIZES
-
-    return FIG10_FAST_SIZES if fast else FIG10_SIZES
+from repro.experiments.common import reduction_percent
 
 
 class Fig10FvcSize(Experiment):
@@ -47,13 +38,14 @@ class Fig10FvcSize(Experiment):
         results: Sequence[CellResult],
         fast: bool = False,
     ) -> ExperimentResult:
-        sizes = _sizes(fast)
+        axes = self.sweep_backing(fast)["axes"]
+        sizes = axes["fvc_entries"]
         headers = ["benchmark", "base_miss_%"] + [
             f"red_{entries}e_%" for entries in sizes
         ]
         rows = []
         stride = 1 + len(sizes)
-        for block, name in enumerate(FVL_NAMES):
+        for block, name in enumerate(axes["workload"]):
             base = results[block * stride].cache_stats()
             row = {
                 "benchmark": name,
@@ -66,9 +58,3 @@ class Fig10FvcSize(Experiment):
                 )
             rows.append(row)
         return self._result(headers, rows)
-
-    def run(
-        self, store: Optional[TraceStore] = None, fast: bool = False
-    ) -> ExperimentResult:
-        cells = self.plan_cells(fast)
-        return self.merge_cells(cells, self._run_cells(cells, store), fast)

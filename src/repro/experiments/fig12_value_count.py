@@ -5,30 +5,26 @@ no less than the FVC's (the Fig. 9 admissibility rule), exploiting 1, 3
 or 7 frequent values.  Paper shape: going from 1 to 3 values often
 helps substantially; 3 to 7 helps less; reductions span ~1-68%.
 
-The cell plan is derived from the ``fig12`` spec in
-:mod:`repro.sweeps.catalog`: per workload, per admissible geometry, a
-baseline cell then one DMC+FVC cell per exploited-value count — so
-``--jobs N`` fans the grid across cores while the sequential run
-executes the identical cells in order.
+The grid is the ``fig12`` spec in :mod:`repro.sweeps.catalog` (per
+workload, per admissible geometry, a baseline cell then one DMC+FVC
+cell per exploited-value count): the plan is its expansion and the
+merge reads its axes, so ``--jobs N`` fans the grid across cores and a
+sequential run executes the identical cells in order.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.cache.geometry import CacheGeometry
 from repro.engine.cells import CellResult, SimCell
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import (
     DMC_SIZES_KB,
-    FVL_NAMES,
     LINE_SIZES,
     reduction_percent,
 )
 from repro.timing.cacti import DEFAULT_MODEL
-from repro.workloads.store import TraceStore
-
-_TOPS = (1, 3, 7)
 
 
 def admissible_configs() -> List[CacheGeometry]:
@@ -40,11 +36,6 @@ def admissible_configs() -> List[CacheGeometry]:
             if DEFAULT_MODEL.fvc_fits_dmc(512, 3, geometry):
                 configs.append(geometry)
     return configs
-
-
-def _configs(fast: bool) -> List[CacheGeometry]:
-    configs = admissible_configs()
-    return configs[:3] if fast else configs
 
 
 class Fig12ValueCount(Experiment):
@@ -63,12 +54,17 @@ class Fig12ValueCount(Experiment):
         results: Sequence[CellResult],
         fast: bool = False,
     ) -> ExperimentResult:
-        configs = _configs(fast)
-        headers = ["benchmark", "dmc", "base_miss_%", "red_top1_%",
-                   "red_top3_%", "red_top7_%"]
+        axes = self.sweep_backing(fast)["axes"]
+        configs = [
+            CacheGeometry(geometry["size_bytes"], geometry["line_bytes"])
+            for geometry in axes["geometry"]
+        ]
+        headers = ["benchmark", "dmc", "base_miss_%"] + [
+            f"red_top{top}_%" for top in axes["top_values"]
+        ]
         rows = []
         cursor = 0
-        for name in FVL_NAMES:
+        for name in axes["workload"]:
             for geometry in configs:
                 base = results[cursor].cache_stats()
                 cursor += 1
@@ -77,7 +73,7 @@ class Fig12ValueCount(Experiment):
                     "dmc": geometry.describe(),
                     "base_miss_%": round(100 * base.miss_rate, 3),
                 }
-                for top in _TOPS:
+                for top in axes["top_values"]:
                     stats = results[cursor].cache_stats()
                     cursor += 1
                     row[f"red_top{top}_%"] = round(
@@ -90,9 +86,3 @@ class Fig12ValueCount(Experiment):
             "512-entry FVC)"
         )
         return result
-
-    def run(
-        self, store: Optional[TraceStore] = None, fast: bool = False
-    ) -> ExperimentResult:
-        cells = self.plan_cells(fast)
-        return self.merge_cells(cells, self._run_cells(cells, store), fast)

@@ -7,32 +7,26 @@ for these benchmarks the DMC+FVC configuration beats the doubled (and
 even quadrupled) DMC, because the misses the FVC removes are conflict
 misses between lines that alias at every tested size.
 
-The cell plan is derived from the ``fig13`` spec in
-:mod:`repro.sweeps.catalog` (doubled-DMC baseline + one DMC+FVC cell
-per exploited-value count, per pair, per benchmark) for ``--jobs``
-fan-out; the sequential run executes the identical cells in order.
+The grid is the ``fig13`` spec in :mod:`repro.sweeps.catalog` (per
+benchmark, per pair, a doubled-DMC baseline then one DMC+FVC cell per
+exploited-value count): the plan is its expansion and the merge reads
+its axes, so ``--jobs N`` fans the grid across cores and a sequential
+run executes the identical cells in order.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.engine.cells import CellResult, SimCell
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.sweeps.catalog import FIG13_BENCHMARKS, FIG13_PAIRS
-from repro.workloads.store import TraceStore
+from repro.experiments.common import CODE_BITS_BY_COUNT
 
 
 def _fvc_data_kb(line_bytes: int, code_bits: int, entries: int = 512) -> float:
     """Data-array KB of the FVC (the paper's ".375Kb FVC" figures)."""
     words = line_bytes // 4
     return entries * words * code_bits / 8 / 1024
-
-
-def _plan_shape(fast: bool):
-    pairs = FIG13_PAIRS[:2] if fast else FIG13_PAIRS
-    tops = (7,) if fast else (7, 3, 1)
-    return pairs, tops
 
 
 class Fig13DmcVsFvc(Experiment):
@@ -51,7 +45,7 @@ class Fig13DmcVsFvc(Experiment):
         results: Sequence[CellResult],
         fast: bool = False,
     ) -> ExperimentResult:
-        pairs, tops = _plan_shape(fast)
+        axes = self.sweep_backing(fast)["axes"]
         headers = [
             "benchmark",
             "line_B",
@@ -65,12 +59,13 @@ class Fig13DmcVsFvc(Experiment):
         ]
         rows = []
         cursor = 0
-        for name in FIG13_BENCHMARKS:
-            for line_bytes, small_kb, double_kb in pairs:
+        for name in axes["workload"]:
+            for pair in axes["pair"]:
+                line_bytes = pair["line_bytes"]
                 double_stats = results[cursor].cache_stats()
                 cursor += 1
-                for top in tops:
-                    code_bits = {1: 1, 3: 2, 7: 3}[top]
+                for top in axes["top_values"]:
+                    code_bits = CODE_BITS_BY_COUNT[top]
                     stats = results[cursor].cache_stats()
                     cursor += 1
                     rows.append(
@@ -82,11 +77,11 @@ class Fig13DmcVsFvc(Experiment):
                                 _fvc_data_kb(line_bytes, code_bits), 3
                             ),
                             "small+FVC_miss_%": round(100 * stats.miss_rate, 3),
-                            "small_KB": small_kb,
+                            "small_KB": pair["small_bytes"] // 1024,
                             "double_miss_%": round(
                                 100 * double_stats.miss_rate, 3
                             ),
-                            "double_KB": double_kb,
+                            "double_KB": pair["double_bytes"] // 1024,
                             "fvc_wins": "yes"
                             if stats.miss_rate < double_stats.miss_rate
                             else "no",
@@ -99,9 +94,3 @@ class Fig13DmcVsFvc(Experiment):
             "(paper: in all pairings for these two benchmarks)"
         )
         return result
-
-    def run(
-        self, store: Optional[TraceStore] = None, fast: bool = False
-    ) -> ExperimentResult:
-        cells = self.plan_cells(fast)
-        return self.merge_cells(cells, self._run_cells(cells, store), fast)

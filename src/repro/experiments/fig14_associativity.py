@@ -6,30 +6,21 @@ once the base cache is 2-way (their removable misses were conflicts the
 associativity absorbs); go, gcc and vortex keep significant reductions
 (their removable misses are capacity misses).
 
-The cell plan is derived from the ``fig14`` spec in
-:mod:`repro.sweeps.catalog`: per workload, the baselines across
-associativities, then the FVC cells across associativities, then one
-3C classification — sweep expansion order (arms group, axes iterate
-within an arm), fanned across ``--jobs`` and merged in plan order.
+The grid is the ``fig14`` spec in :mod:`repro.sweeps.catalog`: per
+workload, the baselines across associativities, then the FVC cells
+across associativities, then one 3C classification — sweep expansion
+order (arms group, axes iterate within an arm).  The plan is its
+expansion and the merge reads its axes, fanned across ``--jobs`` and
+merged in plan order.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.engine.cells import CellResult, SimCell
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import (
-    FVL_NAMES,
-    reduction_percent,
-)
-from repro.workloads.store import TraceStore
-
-
-def _ways_list(fast: bool):
-    from repro.sweeps.catalog import FIG14_FAST_WAYS, FIG14_WAYS
-
-    return FIG14_FAST_WAYS if fast else FIG14_WAYS
+from repro.experiments.common import reduction_percent
 
 
 class Fig14Associativity(Experiment):
@@ -48,14 +39,15 @@ class Fig14Associativity(Experiment):
         results: Sequence[CellResult],
         fast: bool = False,
     ) -> ExperimentResult:
-        ways_list = _ways_list(fast)
+        axes = self.sweep_backing(fast)["axes"]
+        ways_list = axes["ways"]
         headers = ["benchmark"]
         for ways in ways_list:
             headers += [f"{ways}w_base_%", f"{ways}w_red_%"]
         headers += ["dm_conflict_share_%"]
         rows = []
         cursor = 0
-        for name in FVL_NAMES:
+        for name in axes["workload"]:
             row = {"benchmark": name}
             # Plan order per workload: baselines across `ways`, then the
             # FVC cells across `ways`, then the classification.
@@ -84,9 +76,3 @@ class Fig14Associativity(Experiment):
             "the benefit collapsing under associativity"
         )
         return result
-
-    def run(
-        self, store: Optional[TraceStore] = None, fast: bool = False
-    ) -> ExperimentResult:
-        cells = self.plan_cells(fast)
-        return self.merge_cells(cells, self._run_cells(cells, store), fast)

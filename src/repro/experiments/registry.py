@@ -91,19 +91,6 @@ def experiment_ids() -> List[str]:
     return list(EXPERIMENTS)
 
 
-def registered_module_names() -> List[str]:
-    """Module names (``repro.experiments.<name>``) of every registered
-    experiment class, sorted and deduplicated.
-
-    The REG001 lint rule cross-checks this registry against the
-    ``fig*``/``table*`` modules on disk; this helper exposes the same
-    coverage to tests and tooling.
-    """
-    return sorted(
-        {type(exp).__module__.rsplit(".", 1)[-1] for exp in EXPERIMENTS.values()}
-    )
-
-
 def run_experiment(
     experiment_id: str,
     store=None,
@@ -117,9 +104,6 @@ def run_experiment(
     Deterministic: any ``jobs`` value produces identical results, with
     or without a ``checkpoint``
     (:class:`repro.engine.checkpoint.RunCheckpoint`)."""
-    experiment = get_experiment(experiment_id)
-    if jobs > 1 or checkpoint is not None:
-        return experiment.run_with_engine(
-            store, fast=fast, jobs=jobs, checkpoint=checkpoint
-        )
-    return experiment.run(store, fast=fast)
+    return get_experiment(experiment_id).run_with_engine(
+        store, fast=fast, jobs=jobs, checkpoint=checkpoint
+    )

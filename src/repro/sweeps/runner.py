@@ -8,24 +8,15 @@ and the per-cell snapshots; the service's ``/v1/sweeps`` endpoint
 builds its payload through the very same function over the stored cell
 payloads, which is what makes a served sweep's bytes identical to a
 local run's.
-
-Experiment-wrapper sweeps (one ``kind: "experiment"`` arm) delegate to
-the registered experiment via
-:meth:`~repro.experiments.base.Experiment.run_with_engine`; their
-report *is* the experiment's table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.sweeps.expand import SweepPoint, expand, unique_cells
 from repro.sweeps.report import Snapshot, build_report
-from repro.sweeps.spec import (
-    is_experiment_sweep,
-    sweep_id,
-    sweep_result_key,
-)
+from repro.sweeps.spec import sweep_id, sweep_result_key
 
 #: Schema tag on assembled sweep payloads; bump on shape change.
 SWEEP_RESULT_SCHEMA = "sweep.result/1"
@@ -37,7 +28,7 @@ def sweep_payload(
     snapshots: Sequence[Snapshot],
     distinct_cells: int,
 ) -> Dict[str, object]:
-    """Assemble the canonical result payload of a cell sweep.
+    """Assemble the canonical result payload of a sweep.
 
     Pure: every execution path — local sequential, ``--jobs N``, the
     service, the cluster — converges here with the same snapshots in
@@ -53,26 +44,6 @@ def sweep_payload(
         "distinct_cells": distinct_cells,
         "headers": headers,
         "rows": rows,
-    }
-
-
-def experiment_sweep_payload(
-    spec: Dict[str, object], experiment_payload: Dict[str, object]
-) -> Dict[str, object]:
-    """Assemble the result payload of an experiment-wrapper sweep from
-    the wrapped experiment's ``repro.experiment/1`` payload (served
-    jobs store exactly that payload, so both paths share bytes)."""
-    return {
-        "schema": SWEEP_RESULT_SCHEMA,
-        "sweep": spec,
-        "sweep_id": sweep_id(spec),
-        "result_key": sweep_result_key(spec),
-        "points": 1,
-        "distinct_cells": 0,
-        "experiment_id": spec["arms"][0]["experiment_id"],
-        "headers": list(experiment_payload["headers"]),
-        "rows": [dict(row) for row in experiment_payload["rows"]],
-        "notes": list(experiment_payload["notes"]),
     }
 
 
@@ -98,21 +69,6 @@ def run_sweep(
     cell-runner contract; results merge in plan order, so any ``jobs``
     value yields identical payload bytes.
     """
-    if is_experiment_sweep(spec):
-        from repro.experiments.registry import get_experiment
-        from repro.experiments.render import experiment_payload
-
-        arm = spec["arms"][0]
-        experiment = get_experiment(arm["experiment_id"])
-        result = experiment.run_with_engine(
-            store=store,
-            fast=arm["fast"],
-            jobs=jobs,
-            progress=progress,
-            executor=executor,
-        )
-        return experiment_sweep_payload(spec, experiment_payload(result))
-
     from repro.engine.runner import run_cells
 
     points = expand(spec)
@@ -149,12 +105,7 @@ def describe_sweep(spec: Dict[str, object]) -> Dict[str, object]:
     }
     if "title" in spec:
         description["title"] = spec["title"]
-    if is_experiment_sweep(spec):
-        description["experiment_id"] = spec["arms"][0]["experiment_id"]
-        description["points"] = 1
-        description["distinct_cells"] = 0
-    else:
-        points = expand(spec)
-        description["points"] = len(points)
-        description["distinct_cells"] = len(unique_cells(points))
+    points = expand(spec)
+    description["points"] = len(points)
+    description["distinct_cells"] = len(unique_cells(points))
     return description

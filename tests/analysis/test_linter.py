@@ -195,8 +195,7 @@ class TestRunEntryPoint:
         assert run(list_rules=True, out=out) == 0
         text = out.getvalue()
         for code in (
-            "DET001", "DET002", "DET003", "REG001", "API001", "STAT001",
-            "FLT001",
+            "DET001", "DET002", "DET003", "API001", "STAT001", "FLT001",
         ):
             assert code in text
 
@@ -225,7 +224,7 @@ class TestRuleScoping:
         from repro.analysis.rules import ALL_RULES
 
         codes = [rule.code for rule in ALL_RULES]
-        assert len(codes) == len(set(codes)) == 17
+        assert len(codes) == len(set(codes)) == 15
         assert all(rule.title for rule in ALL_RULES)
 
 
@@ -274,6 +273,18 @@ class TestFormatsAndExitCodes:
             "DET001",
             "CONC001",
         ]
+
+    def test_unknown_select_code_exits_two(self, tmp_path, capsys):
+        # A stale code must fail loudly, never lint nothing and pass.
+        root = _tree(tmp_path, {"ok.py": "X = 1\n"})
+        assert main([str(root), "--select", "NOPE001"]) == 2
+        err = capsys.readouterr().err
+        assert "NOPE001" in err and "DET001" in err
+
+    def test_unknown_rules_code_exits_two(self, tmp_path, capsys):
+        root = _tree(tmp_path, {"ok.py": "X = 1\n"})
+        assert main([str(root), "--rules", "DET001,NOPE002"]) == 2
+        assert "NOPE002" in capsys.readouterr().err
 
     def test_cli_exit_codes_zero_one_two(self, tmp_path):
         clean = _tree(tmp_path / "clean", {"ok.py": "X = 1\n"})

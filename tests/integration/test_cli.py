@@ -126,6 +126,18 @@ class TestJsonOutput:
         assert payload["fvc"] is None
 
 
+class TestSweepVerbs:
+    def test_sweep_list_prints_the_catalogued_grids(self, capsys):
+        assert main(["sweep", "list"]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == ["fig10", "fig12", "fig13", "fig14", "l1_size_study"]
+
+    @pytest.mark.parametrize("verb", ("run", "expand", "report"))
+    def test_experiment_without_grid_points_at_run(self, verb, capsys):
+        assert main(["sweep", verb, "fig9", "--fast"]) == 2
+        assert "repro-fvc run fig9" in capsys.readouterr().err
+
+
 class TestServiceVerbs:
     """The serve/submit/status/fetch verbs against an in-process
     service."""

@@ -1,50 +1,44 @@
 """The built-in sweep catalog against the experiment registry.
 
-Every ``fig*``/``table*`` experiment must be expressed as a catalogued
-sweep (what SWEEP001 lints statically, asserted here semantically),
-cell sweeps must plan exactly what their experiments plan, and wrapper
-sweeps must declare exactly the experiment's table columns.
+The catalog holds only cell grids.  The catalogued names that are
+experiment ids are exactly the experiments that plan cells, each grid
+plans exactly what its experiment plans, and every other experiment is
+pointed at ``repro-fvc run``.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.sweeps.catalog import (
-    WRAPPER_FIELDS,
-    catalog_report_fields,
-    get_sweep,
-    sweep_names,
-)
+from repro.sweeps.catalog import get_sweep, sweep_names
 from repro.sweeps.expand import expand_cells
-from repro.sweeps.spec import SweepSpecError, is_experiment_sweep
+from repro.sweeps.spec import SweepSpecError
 
-GATED = sorted(
+#: Experiments with a cell grid, derived from the registry.
+GRID_EXPERIMENTS = sorted(
     experiment_id
-    for experiment_id in EXPERIMENTS
-    if experiment_id.startswith(("fig", "table"))
+    for experiment_id, experiment in EXPERIMENTS.items()
+    if experiment.plan_cells(fast=True) is not None
 )
-CELL_SWEEPS = ("fig10", "fig12", "fig13", "fig14")
-GOLDEN_DIR = Path(__file__).parent.parent / "experiments" / "golden"
 
 
 class TestCoverage:
-    def test_every_gated_experiment_is_catalogued(self):
-        names = sweep_names()
-        for experiment_id in GATED:
-            assert experiment_id in names
-
     def test_report_fields_always_non_empty(self):
-        for name, fields in catalog_report_fields().items():
+        for name in sweep_names():
+            fields = get_sweep(name, fast=True)["report"]["fields"]
             assert fields, f"sweep {name!r} declares no fields"
 
     def test_unknown_name_rejected_with_catalog(self):
         with pytest.raises(SweepSpecError, match="l1_size_study"):
             get_sweep("fig99")
+        # An experiment without a grid is pointed at `repro-fvc run`.
+        for experiment_id in sorted(set(EXPERIMENTS) - set(GRID_EXPERIMENTS)):
+            with pytest.raises(SweepSpecError) as err:
+                get_sweep(experiment_id)
+            assert f"repro-fvc run {experiment_id}" in str(err.value)
 
     def test_specs_are_normalised_and_json_clean(self):
         for name in sweep_names():
@@ -57,7 +51,17 @@ class TestCoverage:
 
 
 class TestCellSweepsMatchExperiments:
-    @pytest.mark.parametrize("experiment_id", CELL_SWEEPS)
+    @pytest.mark.parametrize("fast", (True, False))
+    def test_catalogued_experiments_are_the_grid_experiments(self, fast):
+        planned = sorted(
+            experiment_id
+            for experiment_id, experiment in EXPERIMENTS.items()
+            if experiment.plan_cells(fast=fast) is not None
+        )
+        catalogued = sorted(set(sweep_names()) & set(EXPERIMENTS))
+        assert catalogued == planned == GRID_EXPERIMENTS
+
+    @pytest.mark.parametrize("experiment_id", GRID_EXPERIMENTS)
     @pytest.mark.parametrize("fast", (True, False))
     def test_expansion_equals_experiment_plan(self, experiment_id, fast):
         spec = get_sweep(experiment_id, fast=fast)
@@ -69,29 +73,3 @@ class TestCellSweepsMatchExperiments:
         assert experiment.sweep_backing(fast=True) == get_sweep(
             "fig10", fast=True
         )
-
-
-class TestWrapperSweeps:
-    def test_wrappers_cover_exactly_the_non_cell_experiments(self):
-        assert sorted(WRAPPER_FIELDS) == sorted(
-            set(GATED) - set(CELL_SWEEPS)
-        )
-
-    @pytest.mark.parametrize("experiment_id", sorted(WRAPPER_FIELDS))
-    def test_fields_match_the_golden_table_headers(self, experiment_id):
-        golden = json.loads(
-            (GOLDEN_DIR / f"{experiment_id}.json").read_text(
-                encoding="utf-8"
-            )
-        )
-        assert WRAPPER_FIELDS[experiment_id] == golden["headers"]
-
-    @pytest.mark.parametrize("experiment_id", sorted(WRAPPER_FIELDS))
-    def test_wrapper_arm_shape(self, experiment_id):
-        for fast in (False, True):
-            spec = get_sweep(experiment_id, fast=fast)
-            assert is_experiment_sweep(spec)
-            arm = spec["arms"][0]
-            assert arm["experiment_id"] == experiment_id
-            assert arm["fast"] is fast
-            assert spec["axes"] == {}

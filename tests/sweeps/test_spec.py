@@ -85,10 +85,22 @@ class TestValidation:
         rejects(minimal_spec(arms=[]), "non-empty list")
 
     def test_unknown_arm_kind(self):
-        rejects(
-            minimal_spec(arms=[{"name": "x", "kind": "mystery"}]),
-            "kind must be one of",
-        )
+        # "experiment" is no arm kind: fig/table studies without a cell
+        # grid are experiments, not sweeps.
+        for kind in ("mystery", "experiment"):
+            rejects(
+                minimal_spec(arms=[{"name": "x", "kind": kind}]),
+                "kind must be one of",
+            )
+
+    def test_experiment_arm_keys_rejected(self):
+        for key, value in (("experiment_id", "fig9"), ("fast", True)):
+            rejects(
+                minimal_spec(
+                    arms=[{"name": "base", "kind": "baseline", key: value}]
+                ),
+                "unknown keys",
+            )
 
     def test_duplicate_arm_names(self):
         arm = {"name": "base", "kind": "baseline", "cell": {}}
@@ -173,50 +185,8 @@ class TestValidation:
             "aggregates",
         )
 
-    def test_experiment_sweep_single_arm_only(self):
-        rejects(
-            minimal_spec(
-                axes={},
-                arms=[
-                    {
-                        "name": "a",
-                        "kind": "experiment",
-                        "experiment_id": "fig9",
-                    },
-                    {
-                        "name": "b",
-                        "kind": "experiment",
-                        "experiment_id": "fig9",
-                    },
-                ],
-            ),
-            "exactly one experiment arm",
-        )
-
     def test_cell_sweep_needs_an_axis(self):
         rejects(minimal_spec(axes={}), "at least one axis")
-
-    def test_experiment_arm_free_form_fields(self):
-        # Wrapper sweeps report the experiment's own table columns,
-        # which are not engine cell fields.
-        spec = normalise_sweep(
-            minimal_spec(
-                axes={},
-                arms=[
-                    {
-                        "name": "experiment",
-                        "kind": "experiment",
-                        "experiment_id": "fig9",
-                        "fast": True,
-                    }
-                ],
-                report={
-                    "fields": ["structure", "access_ns"],
-                    "aggregates": ["mean"],
-                },
-            )
-        )
-        assert spec["arms"][0]["fast"] is True
 
 
 class TestIdentity:
