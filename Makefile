@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-sanitize lint bench bench-core bench-cluster bench-fast bench-quick bench-obs examples experiments sweep clean
+.PHONY: install test test-fast test-sanitize lint bench bench-cluster bench-obs examples experiments sweep clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -29,14 +29,10 @@ lint:
 	fi
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src
 
+# The repository's benchmark (BENCHMARK.json): every workload once,
+# untraced; perfbench/README.md explains the figures it prints.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Backend speedup trajectory: the fig13 sweep under both backends must
-# show >= 5x for numpy with byte-identical payloads; refreshes the
-# committed BENCH_core.json (docs/PERFORMANCE.md explains the fields).
-bench-core:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_core.py -o BENCH_core.json
+	$(PYTHON) perfbench/run.py
 
 # Cluster-fabric trajectory: the fig13 test-scale sweep through a
 # coordinator + 1/2/4 real worker processes, median of 3, payload
@@ -44,14 +40,6 @@ bench-core:
 # (docs/CLUSTER.md has the failure model behind the fabric).
 bench-cluster:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_cluster.py -o BENCH_cluster.json
-
-bench-fast:
-	$(PYTHON) -m pytest benchmarks/bench_core.py --benchmark-only \
-		--benchmark-autosave
-
-bench-quick:
-	$(PYTHON) -m pytest benchmarks/bench_fig09_access_time.py \
-		benchmarks/bench_table4_constancy.py --benchmark-only
 
 # Observability overhead gate: the same cell batch with obs off vs
 # fully on must stay within 5%; writes BENCH_obs.json.
@@ -69,5 +57,5 @@ sweep:
 	PYTHONPATH=src $(PYTHON) -m repro sweep run l1_size_study --fast
 
 clean:
-	rm -rf .pytest_cache .benchmarks benchmarks/results/*.txt
+	rm -rf .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -97,18 +97,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("--json excludes --csv/--chart", file=sys.stderr)
         return 2
 
+    spec_file = _sweep_spec_source(args.experiment)
+    if spec_file and (args.checkpoint or args.chart):
+        # A sweep runs without per-cell checkpoints and has no chart.
+        print("a sweep spec file takes no --checkpoint/--chart", file=sys.stderr)
+        return 2
+
     fast = args.fast or args.scale == "test"
-    if _sweep_spec_source(args.experiment):
-        # A sweep/v1 spec file runs the declarative sweep path
-        # (docs/SWEEPS.md); malformed documents fail with an error
-        # naming the sweep/v1 contract.
-        if args.json:
-            fmt = "json"
-        elif args.csv:
-            fmt = "csv"
-        else:
-            fmt = "table"
-        return _run_sweep_to(args.experiment, fast, args.jobs, fmt, None)
     if args.sanitize:
         from repro.analysis import sanitize
 
@@ -138,6 +133,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # stdout, which stays byte-identical to an untraced run.
         os.environ[tracing.ENV_VAR] = args.trace_out
         tracing.reset()
+
+    if spec_file:
+        # A sweep/v1 spec file runs the declarative sweep path
+        # (docs/SWEEPS.md); malformed documents fail with an error
+        # naming the sweep/v1 contract.
+        if args.json:
+            fmt = "json"
+        elif args.csv:
+            fmt = "csv"
+        else:
+            fmt = "table"
+        code = _run_sweep_to(args.experiment, fast, args.jobs, fmt, None)
+        if code == 0:
+            _close_run_flags(args)
+        return code
 
     if args.checkpoint:
         from pathlib import Path
@@ -171,22 +181,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.json:
             document = collected[0] if len(collected) == 1 else collected
             sys.stdout.write(dumps_canonical(document))
-        if args.sanitize:
-            # A violation anywhere (any worker, any cell) raises out of
-            # the run; reaching this line means every check held.  The
-            # summary goes to stderr so stdout stays byte-identical.
-            print("[sanitize] simulator invariants held", file=sys.stderr)
-        if args.trace_out:
-            from repro.obs import tracing
-
-            tracer = tracing.active()
-            if tracer is not None:
-                tracer.flush()
-                print(
-                    f"[obs] {tracer.spans_recorded} span(s) from this "
-                    f"process appended to {args.trace_out}",
-                    file=sys.stderr,
-                )
+        _close_run_flags(args)
         return 0
 
     ids = experiment_ids() if args.experiment == "all" else [args.experiment]
@@ -224,6 +219,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     return finish()
+
+
+def _close_run_flags(args: argparse.Namespace) -> None:
+    """Report a finished run's --sanitize and --trace-out on stderr, so
+    stdout stays byte-identical to a run without them."""
+    if args.sanitize:
+        # A violation anywhere (any worker, any cell) raises out of the
+        # run; reaching this line means every check held.
+        print("[sanitize] simulator invariants held", file=sys.stderr)
+    if args.trace_out:
+        from repro.obs import tracing
+
+        tracer = tracing.active()
+        if tracer is not None:
+            tracer.flush()
+            print(
+                f"[obs] {tracer.spans_recorded} span(s) from this "
+                f"process appended to {args.trace_out}",
+                file=sys.stderr,
+            )
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

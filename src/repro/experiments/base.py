@@ -73,8 +73,8 @@ class Experiment:
     """One reproducible table/figure.
 
     ``fast=True`` runs a reduced version (test inputs, fewer
-    configurations) used by the unit-test suite; the benchmark suite
-    always runs the full version.
+    configurations) used by the test suite; ``repro-fvc run <id>``
+    runs the full version unless given ``--fast``.
     """
 
     #: Registry id, e.g. ``"fig10"``.

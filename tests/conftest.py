@@ -2,8 +2,8 @@
 
 Workload traces are expensive, so the suite generates each (workload,
 input) trace at most once per session through a shared store fixture.
-Everything here uses the small ``test`` inputs; full-scale runs belong
-to the benchmark suite.
+Everything here uses the small ``test`` inputs; full-scale runs are
+``repro-fvc run <id>`` (or ``run all``).
 """
 
 from __future__ import annotations

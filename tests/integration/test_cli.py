@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
+from repro import faults
+from repro.analysis import sanitize
 from repro.cli import main
+from repro.obs import tracing
 
 
 class TestCli:
@@ -136,6 +140,72 @@ class TestSweepVerbs:
     def test_experiment_without_grid_points_at_run(self, verb, capsys):
         assert main(["sweep", verb, "fig9", "--fast"]) == 2
         assert "repro-fvc run fig9" in capsys.readouterr().err
+
+
+@pytest.fixture
+def spec_file(tmp_path, monkeypatch):
+    """A two-cell sweep/v1 spec file.  The variables ``run`` exports for
+    its flags get their current values back after the test."""
+    for name in (sanitize.ENV_VAR, tracing.ENV_VAR, "REPRO_FAULTS"):
+        monkeypatch.setenv(name, os.environ.get(name, ""))
+    path = tmp_path / "tiny.json"
+    cell = {"size_bytes": 4096, "line_bytes": 32}
+    path.write_text(
+        json.dumps(
+            {
+                "schema": "sweep/v1",
+                "name": "tiny",
+                "axes": {"workload": ["go"], "input": ["test"]},
+                "arms": [
+                    {"name": "base", "kind": "baseline", "cell": cell},
+                    {
+                        "name": "fvc",
+                        "kind": "fvc",
+                        "cell": dict(cell, fvc_entries=128, top_values=7),
+                    },
+                ],
+                "report": {
+                    "fields": ["miss_rate_percent"],
+                    "aggregates": ["mean"],
+                },
+            }
+        )
+    )
+    yield str(path)
+    tracing.reset()
+    faults.reset()
+
+
+class TestRunSpecFile:
+    """``run <spec.json>`` applies the flags that travel through the
+    environment and rejects the ones a sweep has no use for."""
+
+    def test_trace_out_writes_spans(self, spec_file, tmp_path, capsys):
+        assert main(["run", spec_file]) == 0
+        plain = capsys.readouterr().out
+        spans = tmp_path / "spans.jsonl"
+        assert main(["run", spec_file, "--trace-out", str(spans)]) == 0
+        assert capsys.readouterr().out == plain
+        assert spans.read_text(encoding="utf-8").splitlines()
+
+    def test_sanitize_reports_invariants_held(self, spec_file, capsys):
+        assert main(["run", spec_file]) == 0
+        plain = capsys.readouterr().out
+        assert main(["run", spec_file, "--sanitize"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        assert "[sanitize] simulator invariants held" in captured.err
+
+    def test_malformed_fault_plan_rejected(self, spec_file, capsys):
+        assert main(["run", spec_file, "--faults", "nonsense"]) == 2
+        assert "--faults:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", (["--checkpoint", "ckpt"], ["--chart"]), ids=("checkpoint", "chart")
+    )
+    def test_checkpoint_and_chart_rejected(self, spec_file, flags, capsys):
+        assert main(["run", spec_file, *flags]) == 2
+        assert "--checkpoint/--chart" in capsys.readouterr().err
 
 
 class TestServiceVerbs:

@@ -5,12 +5,16 @@ experiment's canonical JSON payload must be byte-identical between
 ``REPRO_BACKEND=python`` and ``REPRO_BACKEND=numpy``, under worker
 fan-out (``jobs=4``), under the runtime sanitizer, and when the trace
 arrives through the columnar file format instead of in-memory tuples.
+The numpy pass must also be served by exactly its recorded count of
+kernel replays and declines: a kernel that starts declining leaves the
+bytes alone, so only the count catches it.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.analysis import sanitize
 from repro.api import run_experiment
 from repro.experiments.registry import EXPERIMENTS
@@ -28,10 +32,29 @@ GATED = sorted(
     if experiment_id.startswith(("fig", "table"))
 )
 
+#: (kernel replays, kernel declines) of each gated experiment's fast run
+#: under ``REPRO_BACKEND=numpy``; every other one replays only the
+#: oracle.  fig14's six declines are its 2-way FVC cells.
+KERNEL_PATHS = {
+    "fig10": (24, 0),
+    "fig12": (72, 0),
+    "fig13": (8, 0),
+    "fig14": (18, 6),
+    "fig15": (18, 0),
+}
+
 
 def _canonical(monkeypatch, experiment_id, backend_name, jobs=1):
     monkeypatch.setenv(backend.ENV_VAR, backend_name)
     return dumps_canonical(run_experiment(experiment_id, fast=True, jobs=jobs))
+
+
+def _kernel_paths():
+    registry = obs.registry()
+    return (
+        registry.counter("kernel_replays_total").value,
+        registry.counter("kernel_declines_total").value,
+    )
 
 
 def test_gate_covers_every_figure_and_table():
@@ -42,8 +65,16 @@ def test_gate_covers_every_figure_and_table():
 @pytest.mark.parametrize("experiment_id", GATED)
 def test_payload_identical_across_backends(experiment_id, monkeypatch):
     python_payload = _canonical(monkeypatch, experiment_id, "python")
+    monkeypatch.setenv(obs.ENV_VAR, "1")
+    replays, declines = _kernel_paths()
     numpy_payload = _canonical(monkeypatch, experiment_id, "numpy")
+    after_replays, after_declines = _kernel_paths()
     assert python_payload == numpy_payload
+    # The sanitizer sends every cell to the oracle.
+    expected = (
+        (0, 0) if sanitize.enabled() else KERNEL_PATHS.get(experiment_id, (0, 0))
+    )
+    assert (after_replays - replays, after_declines - declines) == expected
 
 
 @pytest.mark.slow

@@ -6,6 +6,8 @@ import pytest
 
 from repro.experiments.render import dumps_canonical
 from repro.sweeps.catalog import get_sweep
+from repro.sweeps.expand import expand, unique_cells
+from repro.sweeps.report import build_report
 from repro.sweeps.runner import describe_sweep, run_sweep
 from repro.sweeps.spec import normalise_sweep, sweep_id, sweep_result_key
 
@@ -85,10 +87,30 @@ class TestDescribeSweep:
 
 
 class TestL1SizeStudy:
-    """The ISSUE's acceptance study: a genuinely multi-axis sweep."""
+    """The reference study: a genuinely multi-axis sweep."""
 
     @pytest.mark.slow
     def test_fast_study_runs_and_reports(self, store):
+        # The full-scale grid takes too long to run here: check its
+        # expansion, and its report over one synthetic snapshot per point.
+        full = get_sweep("l1_size_study")
+        points = expand(full)
+        assert len(points) == 120
+        assert len(unique_cells(points)) == 120
+        stats = {
+            "read_hits": 9_900,
+            "read_misses": 100,
+            "write_hits": 0,
+            "write_misses": 0,
+            "fills": 100,
+            "writebacks": 0,
+            "fill_words": 800,
+            "writeback_words": 0,
+        }
+        headers, rows = build_report(full, points, [(stats, {})] * len(points))
+        assert headers[0] == "arm"
+        assert len(rows) == 120
+
         payload = run_sweep(get_sweep("l1_size_study", fast=True), store=store)
         assert payload["points"] == 12
         assert payload["distinct_cells"] == 12
