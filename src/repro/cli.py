@@ -53,7 +53,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.cache.classify import classify_misses
 from repro.cache.geometry import CacheGeometry
 from repro.engine.trace_cache import default_trace_cache
 from repro.experiments.registry import (
@@ -63,6 +62,7 @@ from repro.experiments.registry import (
 )
 from repro.experiments.common import (
     baseline_stats,
+    classify_replay,
     fvc_stats,
     reduction_percent,
 )
@@ -85,7 +85,35 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+#: The variables ``run --sanitize/--faults/--trace-out`` export.
+_RUN_FLAG_VARS = ("REPRO_SANITIZE", "REPRO_FAULTS", "REPRO_OBS_TRACE")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    # The flags export their settings so pool workers inherit them for
+    # this run; afterwards the caller's process gets its own settings
+    # back, so an in-process caller's later runs are neither sanitized,
+    # faulted nor traced by this one's flags.
+    saved = {name: os.environ.get(name) for name in _RUN_FLAG_VARS}
+    try:
+        return _run(args)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        if args.faults:
+            from repro import faults
+
+            faults.reset()
+        if args.trace_out:
+            from repro.obs import tracing
+
+            tracing.reset()
+
+
+def _run(args: argparse.Namespace) -> int:
     from repro.experiments.render import (
         dumps_canonical,
         experiment_payload,
@@ -353,7 +381,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     trace = shared_store.get(args.workload, args.input)
     geometry = CacheGeometry(args.size_kb * 1024, args.line, ways=args.ways)
-    result = classify_misses(trace.records, geometry)
+    result = classify_replay(trace, geometry)
     print(
         f"{geometry.describe()} on {args.workload}/{args.input}: "
         f"miss rate {100 * result.miss_rate:.3f}%"

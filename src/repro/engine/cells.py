@@ -11,9 +11,11 @@ pay for the trace exactly once per process and once per machine.
 :func:`run_cell` is the single execution path used both sequentially
 (by the experiments' ``run``) and in parallel (by
 :func:`repro.engine.runner.run_cells`), which is what makes the
-parallel results bit-identical to the sequential ones.  Baseline and
-FVC cells replay through :func:`repro.experiments.common.baseline_stats`
-and :func:`repro.experiments.common.fvc_replay`, the one
+parallel results bit-identical to the sequential ones.  Baseline,
+FVC and classify cells replay through
+:func:`repro.experiments.common.baseline_stats`,
+:func:`repro.experiments.common.fvc_replay` and
+:func:`repro.experiments.common.classify_replay`, the one
 kernel-or-oracle path per kind.  The runtime sanitizer
 (:mod:`repro.analysis.sanitize`, enabled by ``REPRO_SANITIZE=1``)
 hooks in there, so sanitized parallel runs, sanitized sequential runs
@@ -43,7 +45,8 @@ class SimCell:
     * ``"fvc"`` — :class:`repro.fvc.system.FvcSystem` with
       ``fvc_entries`` entries exploiting the top ``top_values`` values;
     * ``"classify"`` — 3C miss classification
-      (:func:`repro.cache.classify.classify_misses`).
+      (:func:`repro.cache.classify.classify_misses`, or its
+      direct-mapped kernel).
     """
 
     workload: str
@@ -135,8 +138,11 @@ def run_cell(cell: SimCell, store=None) -> CellResult:
 def _simulate(cell: SimCell, trace) -> CellResult:
     """Dispatch one cell to its simulator (the observable unit of
     :func:`run_cell`; callers go through ``run_cell``, never here)."""
-    from repro.analysis import sanitize
-    from repro.experiments.common import baseline_stats, fvc_replay
+    from repro.experiments.common import (
+        baseline_stats,
+        classify_replay,
+        fvc_replay,
+    )
 
     geometry = cell.geometry()
 
@@ -151,15 +157,7 @@ def _simulate(cell: SimCell, trace) -> CellResult:
         return CellResult(cell=cell, stats=stats.as_dict(), extras=extras)
 
     if cell.kind == "classify":
-        from repro.cache.classify import classify_misses
-
-        result = classify_misses(trace.records, geometry)
-        if sanitize.enabled():
-            sanitize.check_access_count(
-                result.accesses,
-                len(trace.records),
-                context=f"classify cell {cell.workload}/{cell.input_name}: ",
-            )
+        result = classify_replay(trace, geometry)
         return CellResult(
             cell=cell,
             stats=CacheStats().as_dict(),

@@ -3,11 +3,12 @@ lists.
 
 Centralising these keeps every experiment honest: all of them profile
 values, build encoders, and replay caches exactly the same way.
-:func:`baseline_stats` and :func:`fvc_replay` are the one replay path
-per cell kind — the kernel when it accepts the cell, otherwise the
-oracle, audited by the runtime sanitizer (``REPRO_SANITIZE=1``) — for
-simulation cells (:func:`repro.engine.cells.run_cell`) and direct
-callers alike.
+:func:`baseline_stats`, :func:`fvc_replay` and :func:`classify_replay`
+are the one replay path per cell kind — the kernel when it accepts the
+cell, otherwise the oracle, audited by the runtime sanitizer
+(``REPRO_SANITIZE=1``) — for simulation cells
+(:func:`repro.engine.cells.run_cell`), the CLI and direct callers
+alike.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.analysis import sanitize
+from repro.cache.classify import MissClassification, classify_misses
 from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.setassoc import SetAssociativeCache
@@ -107,6 +109,24 @@ def baseline_stats(trace: Trace, geometry: CacheGeometry) -> CacheStats:
             "baseline", trace, sanitize.check_baseline, cache, len(trace.records)
         )
     return stats
+
+
+def classify_replay(trace: Trace, geometry: CacheGeometry) -> MissClassification:
+    """3C (compulsory / capacity / conflict) classification of the
+    conventional cache's misses."""
+    classes = dispatch.try_classify(trace, geometry)
+    if classes is not None:
+        return classes
+    classes = classify_misses(trace.records, geometry)
+    if sanitize.enabled():
+        _checked(
+            "classify",
+            trace,
+            sanitize.check_access_count,
+            classes.accesses,
+            len(trace.records),
+        )
+    return classes
 
 
 def fvc_replay(

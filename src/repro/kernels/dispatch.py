@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Tuple
 
+from repro.cache.classify import MissClassification
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
 from repro.fvc.encoding import FrequentValueEncoder
@@ -87,6 +88,23 @@ def try_fvc_replay(
         return None
     _record("replay", time.perf_counter() - started)
     return result
+
+
+def try_classify(
+    trace: Trace, geometry: CacheGeometry
+) -> Optional[MissClassification]:
+    """Kernel 3C miss classification for a cache, or ``None``."""
+    if not kernels_active():
+        return None
+    from repro.kernels.classify import dmc_classify
+
+    started = time.perf_counter()
+    classes = dmc_classify(trace, geometry)
+    if classes is None:
+        _record("decline")
+        return None
+    _record("replay", time.perf_counter() - started)
+    return classes
 
 
 def try_hierarchy_replay(system, trace: Trace) -> bool:

@@ -88,6 +88,16 @@ class TestShapes:
             coverage[name] for name in CONTROLS
         )
 
+    def test_fig1_ten_values_fill_half_the_locations(self, results):
+        # The paper says 6 of 8; the analogs give 5, because li's top ten
+        # fill 33.3% of live locations (EXPERIMENTS.md).
+        occupancy = {
+            row["benchmark"]: row["occ_top10_%"] for row in results["fig1"].rows
+        }
+        assert len(occupancy) == 8
+        assert sum(share > 50 for share in occupancy.values()) >= 5
+        assert all(occupancy[name] < 50 for name in CONTROLS)
+
     def test_fig2_fp_has_fvl(self, results):
         for row in results["fig2"].rows:
             assert row["occ_top10_%"] > 25

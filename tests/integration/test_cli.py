@@ -7,6 +7,7 @@ import pytest
 
 from repro import faults
 from repro.analysis import sanitize
+from repro.common.errors import FaultInjected
 from repro.cli import main
 from repro.obs import tracing
 
@@ -206,6 +207,51 @@ class TestRunSpecFile:
     def test_checkpoint_and_chart_rejected(self, spec_file, flags, capsys):
         assert main(["run", spec_file, *flags]) == 2
         assert "--checkpoint/--chart" in capsys.readouterr().err
+
+
+class TestRunFlagScope:
+    """``run``'s --sanitize, --faults and --trace-out last for that run:
+    an in-process caller gets its variables, sanitizer, fault plan and
+    tracer back afterwards, whether the run succeeds or fails."""
+
+    NAMES = (sanitize.ENV_VAR, tracing.ENV_VAR, "REPRO_FAULTS")
+
+    @pytest.fixture
+    def unflagged(self, spec_file, monkeypatch):
+        for name in self.NAMES:
+            monkeypatch.delenv(name, raising=False)
+        tracing.reset()
+        faults.reset()
+        return spec_file
+
+    def _flagged(self, spec_file, plan, spans):
+        return [
+            "run", spec_file, "--sanitize", "--faults", plan,
+            "--trace-out", str(spans),
+        ]
+
+    def _assert_unflagged(self):
+        assert [name for name in self.NAMES if name in os.environ] == []
+        assert not sanitize.enabled()
+        assert faults.active() is None
+        assert tracing.active() is None
+
+    def test_flags_end_with_the_run(self, unflagged, tmp_path, capsys):
+        spans = tmp_path / "spans.jsonl"
+        # A plan whose only clause never fires on a two-cell sweep.
+        plan = "engine.cell:raise@1000000"
+        assert main(self._flagged(unflagged, plan, spans)) == 0
+        self._assert_unflagged()
+        recorded = spans.read_text(encoding="utf-8").splitlines()
+        assert recorded
+        assert main(["run", unflagged]) == 0
+        assert spans.read_text(encoding="utf-8").splitlines() == recorded
+
+    def test_flags_end_with_a_failed_run(self, unflagged, tmp_path, capsys):
+        spans = tmp_path / "spans.jsonl"
+        with pytest.raises(FaultInjected):
+            main(self._flagged(unflagged, "engine.cell:raise@1", spans))
+        self._assert_unflagged()
 
 
 class TestServiceVerbs:

@@ -87,6 +87,7 @@ class TestDispatchGates:
         trace = Trace([(0, 16, 1)], workload="syn")
         geometry = CacheGeometry(4096, 16)
         assert dispatch.try_baseline_stats(trace, geometry) is None
+        assert dispatch.try_classify(trace, geometry) is None
         assert dispatch.try_hierarchy_replay(object(), trace) is False
 
 

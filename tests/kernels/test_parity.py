@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.classify import MissClassification, classify_misses
 from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import TwoLevelSystem
@@ -18,6 +19,7 @@ from repro.experiments.common import encoder_for
 from repro.fvc.encoding import FrequentValueEncoder
 from repro.fvc.system import FvcSystem
 from repro.kernels import backend
+from repro.kernels.classify import dmc_classify
 from repro.kernels.dmc import dmc_stats
 from repro.kernels.fvc import fvc_cell_replay
 from repro.kernels.hierarchy import hierarchy_replay
@@ -157,6 +159,76 @@ class TestFvcParitySweep:
         _assert_fvc_parity(trace, geometry, size, encoder)
 
 
+def _assert_classify_parity(trace, geometry):
+    """The kernel accepts the direct-mapped target and matches
+    ``classify_misses`` on every count."""
+    classes = dmc_classify(trace, geometry)
+    assert classes is not None
+    assert classes == classify_misses(trace.records, geometry)
+    return classes
+
+
+def _line_trace(lines, line_bytes=16):
+    """Loads touching the given line numbers in order."""
+    return Trace([(0, line * line_bytes, 0) for line in lines], workload="syn")
+
+
+class TestClassifyParity:
+    """The 3C kernel against the side-by-side oracle, count for count."""
+
+    @pytest.mark.parametrize("line_bytes", [16, 32, 64])
+    @pytest.mark.parametrize("size_kb", [1, 4, 16, 64])
+    @pytest.mark.parametrize(
+        "workload",
+        ["go", "m88ksim", "gcc", "li", "perl", "vortex", "compress", "ijpeg"],
+    )
+    def test_workload(self, store, workload, size_kb, line_bytes):
+        trace = store.get(workload, "test")
+        _assert_classify_parity(
+            trace, CacheGeometry(size_kb * 1024, line_bytes, ways=1)
+        )
+
+    # A 64-byte cache of 16-byte lines: four lines, one per set.  Line 0
+    # returns after line 4 evicted it from set 0; the lines touched in
+    # between decide whether a 4-line fully-associative LRU still holds
+    # it.  A gap of at least four records takes the distinct-line count
+    # (the last case sits exactly on that boundary), a shorter one the
+    # gap shortcut.
+    @pytest.mark.parametrize(
+        "lines, expected",
+        [
+            ([0, 4, 1, 2, 1, 2, 1, 2, 0], (4, 0, 1)),
+            ([0, 4, 1, 2, 3, 1, 2, 3, 0], (5, 1, 0)),
+            ([0, 4, 1, 0], (3, 0, 1)),
+            ([0, 4, 1, 2, 3, 0], (5, 1, 0)),
+        ],
+        ids=[
+            "3-distinct-long-gap",
+            "4-distinct-long-gap",
+            "2-distinct-short-gap",
+            "4-distinct-gap-of-4",
+        ],
+    )
+    def test_reuse_at_the_capacity_boundary(self, lines, expected):
+        geometry = CacheGeometry(64, 16, ways=1)
+        assert geometry.num_lines == 4
+        classes = _assert_classify_parity(_line_trace(lines), geometry)
+        assert (classes.compulsory, classes.capacity, classes.conflict) == expected
+
+    def test_empty_trace(self):
+        classes = _assert_classify_parity(
+            Trace([], workload="syn"), CacheGeometry(4096, 16, ways=1)
+        )
+        assert classes == MissClassification(0, 0, 0, 0)
+
+    def test_single_line_trace(self):
+        records = [(i % 2, 4 * (i % 4), i) for i in range(64)]
+        classes = _assert_classify_parity(
+            Trace(records, workload="syn"), CacheGeometry(4096, 16, ways=1)
+        )
+        assert classes == MissClassification(64, 1, 0, 0)
+
+
 class TestHierarchyParity:
     def test_fresh_system_fast_forward(self, gcc_trace):
         l1 = CacheGeometry(8 * 1024, 32, ways=1)
@@ -218,6 +290,14 @@ class TestDeclines:
         assert geometry.num_sets == 256
         encoder = encoder_for(gcc_trace, 7)
         _assert_fvc_parity(gcc_trace, geometry, 512, encoder)
+
+    def test_set_associative_classify_target(self, gcc_trace):
+        geometry = CacheGeometry(16 * 1024, 32, ways=2)
+        assert dmc_classify(gcc_trace, geometry) is None
+
+    def test_out_of_range_classify_record(self):
+        trace = Trace([(0, 0, 0), (0, 2**33, 0)], workload="syn")
+        assert dmc_classify(trace, CacheGeometry(4096, 16, ways=1)) is None
 
     def test_decompositions_are_compact(self, store):
         # Guards the memory footprint: per-record index arrays are
