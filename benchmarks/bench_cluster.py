@@ -1,8 +1,9 @@
 """The committed cluster-fabric trajectory (``make bench-cluster``).
 
 Measures the fig13 test-scale sweep end to end through the distributed
-fabric — coordinator + N real ``repro-fvc worker`` subprocesses — at
-1, 2 and 4 workers, median of :data:`REPEATS` timed runs each, and
+fabric — coordinator + N real ``repro-fvc worker`` subprocesses, beside
+the coordinator's one local worker (``serve --workers 1``) — at 1, 2
+and 4 remote workers, median of :data:`REPEATS` timed runs each, and
 writes ``BENCH_cluster.json`` at the repo root.
 
 Every row re-gates the determinism contract: the payload served by the
@@ -83,7 +84,9 @@ def timed_run(worker_count: int, cache_dirs, store_dir, expected: bytes):
                 spawn_worker(service.url, f"w{index}", cache_dirs[index])
             )
         deadline = time.monotonic() + 60.0
-        while service.cluster.live_worker_count() < worker_count:
+        # The coordinator's own local worker counts too.
+        expected_workers = worker_count + service.config.workers
+        while service.cluster.live_worker_count() < expected_workers:
             if time.monotonic() > deadline:
                 raise SystemExit("bench-cluster: workers never registered")
             time.sleep(0.05)

@@ -1,12 +1,11 @@
 """Cluster fabric smoke gate (CI: the cluster-smoke job).
 
 Starts an in-process coordinator (``ReproService`` on an ephemeral
-port), attaches two real ``repro-fvc worker`` subprocesses, runs the
-fig13 test-scale sweep through the cluster lane, and gates on the
-bit-identical contract: the stored payload must equal what
+port, with its one local worker), attaches two real ``repro-fvc
+worker`` subprocesses, runs the fig13 test-scale sweep, and gates on
+the bit-identical contract: the stored payload must equal what
 ``repro-fvc run fig13 --fast --json`` (``--jobs 1``) prints, byte for
-byte.  Every cell must have been computed via worker leases — zero
-coordinator-side fallback.
+byte.  Each remote worker must have completed at least one lease.
 
 ``--kill-one`` runs the failure drill on top: one worker is poisoned
 (``REPRO_FAULTS=engine.cell:hang``) so its first cell stalls, the
@@ -22,6 +21,9 @@ restarted on the same port and state dir.  The restarted coordinator
 must recover the job from its write-ahead journal, the workers must
 re-attach through their heartbeat ``known: false`` loop, and the final
 payload must still be byte-identical to ``run --jobs 1``.
+
+Every coordinator runs one local worker (``--workers 1``) beside the
+two remote ones, so "all workers registered" means three.
 
 Usage::
 
@@ -45,6 +47,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 EXPERIMENT = "fig13"
+
+#: The coordinator's local worker plus the two remote ones.
+ALL_WORKERS = 3
 
 
 def local_payload() -> bytes:
@@ -98,7 +103,7 @@ def spawn_coordinator(port: int, tmp: str):
             "--store-dir", os.path.join(tmp, "results"),
             "--state-dir", os.path.join(tmp, "state"),
             "--worker-ttl", "3",
-            "--lease-timeout", "120",
+            "--timeout", "120",
         ],
         env=env,
         start_new_session=True,
@@ -155,7 +160,7 @@ def kill_coordinator_drill() -> int:
                 )
             )
         wait_until(
-            lambda: metric("cluster_workers") == 2,
+            lambda: metric("cluster_workers") == ALL_WORKERS,
             30.0, "workers never registered",
         )
         job = client.submit_experiment(EXPERIMENT, fast=True)
@@ -175,7 +180,7 @@ def kill_coordinator_drill() -> int:
         # Workers re-attach on their own: heartbeat answers
         # ``known: false`` and the loop re-registers.
         wait_until(
-            lambda: metric("cluster_workers") == 2,
+            lambda: metric("cluster_workers") == ALL_WORKERS,
             60.0, "workers never re-attached after the restart",
         )
         done = client.wait(job["id"], timeout=600)
@@ -234,10 +239,10 @@ def main(argv=None) -> int:
             workers=1,
             store_dir=os.path.join(tmp, "results"),
             # A tight TTL keeps the SIGKILL drill fast; the lease
-            # timeout stays long so recovery demonstrably comes from
+            # deadline stays long so recovery demonstrably comes from
             # worker-loss reaping, not lease expiry.
             cluster_worker_ttl=3.0,
-            cluster_lease_timeout=120.0,
+            job_timeout=120.0,
         )
     ).start()
     workers = []
@@ -255,7 +260,7 @@ def main(argv=None) -> int:
             )
         )
         wait_until(
-            lambda: service.cluster.live_worker_count() == 2,
+            lambda: service.cluster.live_worker_count() == ALL_WORKERS,
             timeout=30.0,
             message="workers never registered",
         )
@@ -287,6 +292,11 @@ def main(argv=None) -> int:
         done = client.wait(job["id"], timeout=600)
         assert done["state"] == "done", done
         served = client.result_bytes(done["result_key"])
+        completions = {
+            entry["name"]: entry["completed"]
+            for entry in client.workers()["workers"]
+            if not entry["name"].startswith("local-")
+        }
 
         expected = local_payload()
         if served != expected:
@@ -297,12 +307,14 @@ def main(argv=None) -> int:
 
         entries = service.metrics()["metrics"]
         completed = entries["cluster_leases_completed_total"]["value"]
-        fallback = entries["cluster_local_fallback_total"]["value"]
         assert completed >= 1, entries
         if not args.kill_one:
-            assert fallback == 0, (
-                f"expected pure worker execution, saw {fallback} "
-                "local-fallback cells"
+            # The coordinator never simulates, so the gate is that the
+            # remote workers really shared the sweep.
+            assert sorted(completions) == ["w0", "w1"], completions
+            assert all(n >= 1 for n in completions.values()), (
+                "expected every remote worker to complete a lease, "
+                f"saw {completions}"
             )
 
         if args.kill_one:
@@ -321,8 +333,8 @@ def main(argv=None) -> int:
 
         print(
             f"cluster smoke OK: {EXPERIMENT} payload byte-identical "
-            f"across 2 workers ({completed} leases completed, "
-            f"{fallback} local fallback)"
+            f"across 2 remote workers and 1 local ({completed} leases "
+            f"completed, by remote worker: {completions})"
         )
         return 0
     finally:

@@ -17,6 +17,7 @@ Classification follows Hill's standard definitions:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
@@ -51,29 +52,53 @@ class MissClassification:
         return getattr(self, kind) / total if total else 0.0
 
 
+class LineLRU:
+    """A fully-associative, write-allocate LRU cache of ``num_lines``
+    lines that answers only hit or miss — all the 3C split needs.
+
+    Such a cache hits exactly when the line is among the ``num_lines``
+    most recently used, so it is kept as an LRU-ordered dict of line
+    addresses rather than a one-set :class:`SetAssociativeCache`, whose
+    every access scans a list of up to ``num_lines`` entries.
+    """
+
+    def __init__(self, num_lines: int) -> None:
+        self.num_lines = num_lines
+        self._lines: "OrderedDict[int, None]" = OrderedDict()
+
+    def access(self, line_addr: int) -> bool:
+        """Touch one line; returns True on a hit."""
+        lines = self._lines
+        if line_addr in lines:
+            lines.move_to_end(line_addr)
+            return True
+        lines[line_addr] = None
+        if len(lines) > self.num_lines:
+            lines.popitem(last=False)
+        return False
+
+
 def classify_misses(
     records: Iterable[Tuple[int, int, int]], geometry: CacheGeometry
 ) -> MissClassification:
     """Classify every miss the ``geometry`` cache takes on the trace.
 
     Runs the target cache and a same-size fully-associative LRU cache
-    side by side in a single pass.
+    (:class:`LineLRU`) side by side in a single pass.
     """
     if geometry.ways == 1:
         target = DirectMappedCache(geometry)
     else:
         target = SetAssociativeCache(geometry)
-    ideal = SetAssociativeCache.fully_associative(
-        num_lines=geometry.num_lines, line_bytes=geometry.line_bytes
-    )
+    ideal = LineLRU(geometry.num_lines)
     seen_lines = set()
     line_shift = geometry.line_shift
     accesses = compulsory = capacity = conflict = 0
     for op, byte_addr, _ in records:
         accesses += 1
         target_hit = target.access(op, byte_addr)
-        ideal_hit = ideal.access(op, byte_addr)
         line_addr = byte_addr >> line_shift
+        ideal_hit = ideal.access(line_addr)
         first_touch = line_addr not in seen_lines
         if first_touch:
             seen_lines.add(line_addr)

@@ -490,9 +490,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store_dir=Path(args.store_dir) if args.store_dir else None,
             store_capacity=args.capacity,
             quiet=not args.verbose,
-            cluster_lease_timeout=args.lease_timeout,
             cluster_worker_ttl=args.worker_ttl,
-            cluster_dispatchers=args.cluster_dispatchers,
             state_dir=Path(args.state_dir) if args.state_dir else None,
             state_quota_bytes=(
                 args.state_quota_bytes if args.state_quota_bytes > 0 else None
@@ -1056,16 +1054,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8031)
     serve.add_argument(
         "--workers", type=int, default=2, metavar="K",
-        help="simulation worker processes (default 2)",
+        help="local worker processes, and dispatcher threads running "
+        "jobs on them (default 2)",
     )
     serve.add_argument(
         "--timeout", type=float, default=600.0,
-        help="per-job wall-clock limit in seconds; 0 disables "
+        help="every task lease's deadline in seconds: a task still "
+        "running then is killed or revoked and re-issued; 0 disables "
         "(default 600)",
     )
     serve.add_argument(
         "--retries", type=int, default=2,
-        help="retries after a worker crash (default 2)",
+        help="re-issues of a task whose attempt was lost to a crash, "
+        "a timeout or a lost worker (default 2)",
     )
     serve.add_argument(
         "--max-queue-depth", type=int, default=256, metavar="N",
@@ -1086,18 +1087,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="log every HTTP request"
     )
     serve.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="S",
-        help="cluster: seconds a granted cell lease stays valid before "
-        "it is revoked and re-issued (default 30)",
-    )
-    serve.add_argument(
         "--worker-ttl", type=float, default=10.0, metavar="S",
-        help="cluster: seconds a silent worker stays registered; "
+        help="cluster: seconds a silent remote worker stays registered; "
         "workers heartbeat at a third of this (default 10)",
-    )
-    serve.add_argument(
-        "--cluster-dispatchers", type=int, default=2, metavar="K",
-        help="coordinator threads driving cluster-lane jobs (default 2)",
     )
     serve.add_argument(
         "--state-dir", default=None, metavar="DIR",
@@ -1134,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker = sub.add_parser(
         "worker",
         help="run a thin cluster worker attached to a coordinator "
-        "(registers, heartbeats, leases simulation cells over /v1); "
+        "(registers, heartbeats, leases simulation tasks over /v1); "
         "see docs/CLUSTER.md",
     )
     worker.add_argument(
@@ -1147,11 +1139,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--batch", type=int, default=2, metavar="N",
-        help="cell leases pulled per request (default 2)",
+        help="task leases pulled per request (default 2)",
     )
     worker.add_argument(
         "--poll", type=float, default=0.5, metavar="S",
-        help="idle re-poll interval in seconds (default 0.5)",
+        help="seconds the coordinator holds an empty lease request "
+        "open, and the back-off after a failed one (default 0.5)",
     )
     worker.add_argument(
         "--timeout", type=float, default=30.0, metavar="S",
@@ -1159,12 +1152,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--max-cells", type=int, default=0, metavar="N",
-        help="exit after N completed cells; 0 = unbounded (default)",
+        help="exit after N completed tasks; 0 = unbounded (default)",
     )
     worker.add_argument(
         "--once", action="store_true",
         help="exit once the coordinator drains (after completing at "
-        "least one cell); for tests and benchmarks",
+        "least one task); for tests and benchmarks",
     )
     worker.set_defaults(func=_cmd_worker)
 

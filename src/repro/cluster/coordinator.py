@@ -1,35 +1,40 @@
-"""Coordinator-side cluster state: leases, liveness, work stealing.
+"""Coordinator-side execution: the one executor of served jobs.
 
 :class:`ClusterScheduler` is the fabric's brain.  It tracks registered
-workers (heartbeat-refreshed, TTL-expired), keeps the queue of pending
-cell tasks, grants time-bounded **leases** over them, and folds pushed
-results back into plan-ordered :class:`~repro.engine.cells.CellResult`
-lists.  :class:`ClusterExecutor` is the thin thread layer that claims
-``cluster``-lane jobs from the service's :class:`~repro.service.jobs
-.JobQueue` and drives whole specs through the scheduler.
+workers — remote ``repro-fvc worker`` processes over HTTP and the
+service's local worker processes over a pipe (:mod:`repro.cluster
+.pipe`) — keeps the FIFO of pending **tasks** (normalised job specs
+keyed by their result key), grants time-bounded **leases** over them,
+and hands each result to the runs waiting on it.  The service's
+dispatcher threads call :meth:`ClusterScheduler.run_spec`: a grid
+experiment fans its cells out as tasks and merges them, any other spec
+is one task.
 
 Failure model (see ``docs/CLUSTER.md``):
 
-* **worker loss** — a worker that stops heartbeating past its TTL is
-  dropped and every lease it held is re-queued (front of the queue, so
-  takeovers run first);
-* **lease expiry** — a lease older than the lease timeout is revoked
-  and its cell re-queued even while the holder still heartbeats (a
-  hung simulation on a live worker);
+* **worker loss** — a remote worker that stops heartbeating past its
+  TTL, or a local worker whose pipe closes, is dropped and every lease
+  it held is re-queued (front of the queue, so takeovers run first);
+* **lease expiry** — a lease older than the lease deadline (``serve
+  --timeout``) is revoked and its task re-queued even while the holder
+  still heartbeats (a hung simulation on a live worker);
 * **work stealing** — a worker that asks for work while the queue is
   drained steals the youngest lease from the most-loaded worker
   (holders keep at least one), rebalancing batch skew;
-* **retry budget + local fallback** — a cell whose lease was issued
-  ``max_attempts`` times stops being offered to workers and is
-  computed by the coordinator itself; the same fallback engages when
-  no live workers remain.  The fabric therefore *always* terminates
-  with exactly the payload a local run produces.
+* **attempt budget** — every lease is an attempt; a task whose last
+  attempt is lost fails with ``gave up after N attempts`` and the last
+  cause, and a worker whose run raises pushes the error, which fails
+  the task at once.  The coordinator itself never simulates;
+* **withdrawal** — a task lives only while some run waits on it; the
+  last run to stop waiting (done, failed or cancelled) drops it, and an
+  unfinished task leaves the queue or has its lease revoked.  The
+  result store is the memo.
 
 Every one of those transitions is appended to :attr:`ClusterScheduler
 .events` — the lease audit log — and counted in the ``cluster_*``
 metrics (``/v1/metrics``).  Duplicated computation from stale leases
-is harmless by design: cells are deterministic, so any copy of a cell
-produces the same bytes, and stale pushes are acknowledged-and-ignored.
+is harmless by design: tasks are deterministic, so any copy produces
+the same bytes, and stale pushes are acknowledged-and-ignored.
 """
 
 from __future__ import annotations
@@ -40,49 +45,71 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.cells import CellResult, SimCell, run_cell
+from repro.common.errors import ReproError
+from repro.engine.cells import CellResult, SimCell
 from repro.engine.runner import RunCancelled
-from repro.service.api import CELL_SCHEMA, cell_payload, payload_bytes
+from repro.service.api import CELL_SCHEMA, payload_bytes
 from repro.cluster.protocol import (
-    DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_WORKER_TTL_SECONDS,
     LEASE_SCHEMA,
     WORKER_SCHEMA,
     WORKERS_SCHEMA,
-    cell_fields,
+    cell_spec,
     cell_task_key,
 )
 
 #: Task states.
 PENDING = "pending"
 LEASED = "leased"
-LOCAL = "local"
 DONE = "done"
+FAILED = "failed"
 
 #: The audit log keeps this many most-recent events.
 _MAX_EVENTS = 4096
 
+#: Seconds between a waiting run's cancel/reap/progress checks.
+_TICK = 0.05
 
-class CellTask:
-    """One cell the fabric owes somebody an answer for.
+#: ``attempts(n)`` — told the highest lease attempt of a run's tasks
+#: whenever it rises.
+AttemptHook = Callable[[int], None]
 
-    Tasks are keyed by :func:`~repro.cluster.protocol.cell_task_key`,
-    so concurrent runs needing the same cell share one task (and one
-    computation).  ``event`` fires exactly once, when the task reaches
-    ``done``; ``payload`` then holds the ``repro.cell/1`` dict.
+
+class TaskFailed(ReproError):
+    """A task a run waited on failed: its worker raised, or its attempt
+    budget ran out.  The message is the task's error."""
+
+
+class Task:
+    """One spec the fabric owes somebody an answer for.
+
+    Tasks are keyed by the spec's result key, so concurrent runs needing
+    the same work share one task (and one computation); ``waiters``
+    counts those runs.  ``event`` fires exactly once: when the task is
+    ``done`` (``payload`` holds the result and ``stored`` its result-
+    store admission, settled before the event fires) or ``failed``
+    (``error`` says why).
     """
 
-    __slots__ = ("key", "cell", "state", "attempts", "payload", "event")
+    __slots__ = (
+        "key", "spec", "state", "attempts", "lease", "waiters",
+        "payload", "stored", "error", "event",
+    )
 
-    def __init__(self, key: str, cell: SimCell) -> None:
+    def __init__(self, key: str, spec: Dict) -> None:
         self.key = key
-        self.cell = cell
+        self.spec = spec
         self.state = PENDING
         self.attempts = 0
+        self.lease: Optional[str] = None
+        self.waiters = 0
         self.payload: Optional[Dict] = None
+        self.stored: Optional[bool] = None
+        self.error: Optional[str] = None
         self.event = threading.Event()
 
 
@@ -91,10 +118,11 @@ class Lease:
     """One time-bounded grant of one task to one worker."""
 
     id: str
-    task: CellTask
+    task: Task
     worker_id: str
     issued: float
-    deadline: float
+    #: ``None`` = no deadline (``serve --timeout 0``).
+    deadline: Optional[float]
 
 
 @dataclass
@@ -107,39 +135,58 @@ class WorkerInfo:
     host: Optional[str]
     registered: float
     last_seen: float
+    #: A local worker is lost when its pipe closes, never by TTL.
+    local: bool = False
     completed: int = 0
     lease_ids: Set[str] = field(default_factory=set)
 
 
+def _valid_payload(spec: Dict, payload: object) -> bool:
+    """Whether ``payload`` is a plausible result of ``spec``."""
+    if not isinstance(payload, dict):
+        return False
+    if spec.get("type") == "cell":
+        cell = {name: value for name, value in spec.items() if name != "type"}
+        return (
+            payload.get("schema") == CELL_SCHEMA
+            and payload.get("cell") == cell
+            and isinstance(payload.get("stats"), dict)
+            and isinstance(payload.get("extras"), dict)
+        )
+    return payload.get("experiment_id") == spec.get("experiment_id")
+
+
 class ClusterScheduler:
-    """Worker registry + lease table + pending-cell queue.
+    """Worker registry + lease table + pending-task queue.
 
     Thread-safe: HTTP handler threads (register/heartbeat/lease/
-    result), executor threads (:meth:`run_cells`) and the reaper logic
-    all serialise on one lock; cell simulation and store IO happen
-    outside it.  The clock is injectable (monotonic seconds) so lease
-    expiry is unit-testable without sleeping.
+    result), local-worker pipe threads, dispatcher threads
+    (:meth:`run_spec`) and the reaper logic all serialise on one lock;
+    simulation and store IO happen outside it.  The clock is injectable
+    (monotonic seconds) so lease expiry is unit-testable without
+    sleeping.
     """
 
     def __init__(
         self,
         store=None,
         registry=None,
-        lease_timeout: float = DEFAULT_LEASE_SECONDS,
+        lease_timeout: Optional[float] = None,
         worker_ttl: float = DEFAULT_WORKER_TTL_SECONDS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         clock: Callable[[], float] = time.monotonic,
         journal=None,
     ) -> None:
         #: Optional :class:`repro.service.result_store.ResultStore`;
-        #: consulted before leasing and offered every completed cell,
-        #: which is what makes results cluster-wide.
+        #: consulted before queueing a task and offered every completed
+        #: one, which is what makes results cluster-wide.
         self.store = store
-        #: Optional :class:`repro.obs.MetricsRegistry` (kept for
-        #: symmetry; the owning service merges :meth:`metric_samples`
-        #: into its own view instead).
+        #: Optional :class:`repro.obs.MetricsRegistry` the scheduler
+        #: counts ``worker_attempts_total`` (one per lease) into.
         self.registry = registry
-        self.lease_timeout = lease_timeout
+        #: Seconds a lease stays valid (``serve --timeout``); ``None``
+        #: or 0 = no deadline.
+        self.lease_timeout = lease_timeout or None
         self.worker_ttl = worker_ttl
         self.max_attempts = max_attempts
         # The scheduler owns an explicit clock *epoch* so every TTL and
@@ -157,11 +204,11 @@ class ClusterScheduler:
         self.journal = journal
         self._journal_pending: List[Dict[str, object]] = []
         self._lock = threading.Lock()
+        #: Wakes lease requests blocked on an empty queue.
+        self._work = threading.Condition(self._lock)
         self._workers: Dict[str, WorkerInfo] = {}
-        self._tasks: Dict[str, CellTask] = {}
-        self._queue: Deque[CellTask] = deque()
-        #: Tasks past their lease budget, reserved for local fallback.
-        self._exhausted: Deque[CellTask] = deque()
+        self._tasks: Dict[str, Task] = {}
+        self._queue: Deque[Task] = deque()
         self._leases: Dict[str, Lease] = {}
         self._worker_serial = 0
         self._lease_serial = 0
@@ -178,7 +225,6 @@ class ClusterScheduler:
             "cluster_leases_reissued_total": 0,
             "cluster_cells_stolen_total": 0,
             "cluster_results_stale_total": 0,
-            "cluster_local_fallback_total": 0,
             "cluster_trace_serves_total": 0,
         }
 
@@ -209,7 +255,7 @@ class ClusterScheduler:
     # Bookkeeping -------------------------------------------------------
     def _log(self, event: str, **attrs) -> None:
         # Callers hold the lock.  The audit log mirrors into the span
-        # stream so takeovers show up next to the cells they re-run.
+        # stream so takeovers show up next to the tasks they re-run.
         entry: Dict[str, object] = {"event": event}
         entry.update(attrs)
         self.events.append(entry)
@@ -248,9 +294,11 @@ class ClusterScheduler:
         name: str = "worker",
         pid: Optional[int] = None,
         host: Optional[str] = None,
+        local: bool = False,
     ) -> Dict:
         """Register a worker; returns its id and the fabric's timing
-        contract (heartbeat cadence, lease deadline)."""
+        contract (heartbeat cadence, lease deadline).  ``local`` marks a
+        worker whose liveness is its pipe, not its heartbeats."""
         from repro.obs import tracing
 
         now = self.now()
@@ -264,6 +312,7 @@ class ClusterScheduler:
                 host=host,
                 registered=now,
                 last_seen=now,
+                local=local,
             )
             self._count("cluster_workers_registered_total")
             self._log("register", worker=worker_id, name=str(name))
@@ -291,26 +340,39 @@ class ClusterScheduler:
             self._count("cluster_heartbeats_total")
         return {"schema": WORKER_SCHEMA, "known": True}
 
-    def deregister(self, worker_id: str) -> bool:
-        """Graceful goodbye (worker SIGTERM): drop the worker and
-        re-queue anything it still held."""
+    def deregister(self, worker_id: str, cause: Optional[str] = None) -> bool:
+        """Drop a worker and re-queue anything it still held.
+
+        Without ``cause`` this is a graceful goodbye (worker SIGTERM):
+        the worker finished its in-flight task first, so the leases it
+        hands back never ran and keep their attempts.  With one, the
+        worker was lost (a local child's pipe closed) and ``cause`` is
+        what its leases' attempts died of."""
         with self._lock:
             worker = self._workers.pop(worker_id, None)
             if worker is None:
                 return False
-            self._log("deregister", worker=worker_id)
-            self._requeue_worker_leases(worker, reason="deregister")
+            if cause is None:
+                self._log("deregister", worker=worker_id)
+            else:
+                self._count("cluster_workers_lost_total")
+                self._log("worker_lost", worker=worker_id, cause=cause)
+            self._requeue_worker_leases(
+                worker, cause or "worker deregistered", spent=cause is not None
+            )
+            # A lease request the worker has blocked learns it is gone.
+            self._work.notify_all()
         self._flush_journal()
         return True
 
     def live_worker_count(self) -> int:
-        """Workers inside their TTL right now."""
+        """Workers inside their TTL right now (local workers always)."""
         now = self.now()
         with self._lock:
             return sum(
                 1
                 for worker in self._workers.values()
-                if now - worker.last_seen <= self.worker_ttl
+                if worker.local or now - worker.last_seen <= self.worker_ttl
             )
 
     def workers_view(self) -> Dict:
@@ -333,37 +395,57 @@ class ClusterScheduler:
             return {
                 "schema": WORKERS_SCHEMA,
                 "workers": workers,
-                "pending_cells": len(self._queue) + len(self._exhausted),
+                "pending_cells": len(self._queue),
                 "leased_cells": len(self._leases),
                 "events_total": len(self.events),
             }
 
-    # Reaping -----------------------------------------------------------
-    def _requeue_task(self, task: CellTask, reason: str, worker: str) -> None:
-        # Lock held.  Front of the queue: a takeover should run before
-        # fresh work so the stalled run unblocks first.
+    # Task transitions (lock held) --------------------------------------
+    def _fail(self, task: Task, error: str) -> None:
+        task.state = FAILED
+        task.error = error
+        self._log("task_failed", task=task.key, error=error)
+        task.event.set()
+
+    def _requeue_task(
+        self, task: Task, worker: str, cause: str, spent: bool = True
+    ) -> None:
+        # Front of the queue: a takeover should run before fresh work so
+        # the stalled run unblocks first.  A task whose last attempt
+        # just died fails instead; an attempt that never ran (``spent``
+        # false) is handed back.
         if task.state != LEASED:
+            return
+        task.lease = None
+        if not spent:
+            task.attempts -= 1
+        elif task.attempts >= self.max_attempts:
+            self._fail(task, f"{cause} (gave up after {task.attempts} attempts)")
             return
         task.state = PENDING
         self._queue.appendleft(task)
+        self._work.notify_all()
         self._count("cluster_leases_reissued_total")
         self._log(
-            "reissue", task=task.key, worker=worker, reason=reason,
+            "reissue", task=task.key, worker=worker, reason=cause,
             attempt=task.attempts,
         )
 
-    def _requeue_worker_leases(self, worker: WorkerInfo, reason: str) -> None:
-        # Lock held.
+    def _requeue_worker_leases(
+        self, worker: WorkerInfo, cause: str, spent: bool = True
+    ) -> None:
         for lease_id in sorted(worker.lease_ids):
             lease = self._leases.pop(lease_id, None)
             if lease is not None:
-                self._requeue_task(lease.task, reason=reason, worker=worker.id)
+                self._requeue_task(lease.task, worker.id, cause, spent)
         worker.lease_ids.clear()
 
+    # Reaping -----------------------------------------------------------
     def reap(self) -> None:
-        """Expire silent workers and overdue leases; re-queue their
-        cells.  Called from lease requests and the executor wait loop,
-        so liveness never depends on a dedicated timer thread."""
+        """Expire silent remote workers and overdue leases; re-queue
+        their tasks.  Called from lease requests and the dispatchers'
+        wait loop, so liveness never depends on a dedicated timer
+        thread."""
         from repro.obs import tracing
 
         lost: List[str] = []
@@ -372,18 +454,18 @@ class ClusterScheduler:
         with self._lock:
             for worker_id in sorted(self._workers):
                 worker = self._workers[worker_id]
-                if now - worker.last_seen > self.worker_ttl:
+                if not worker.local and now - worker.last_seen > self.worker_ttl:
                     lost.append(worker_id)
                     self._count("cluster_workers_lost_total")
                     self._log(
                         "worker_lost", worker=worker_id,
                         idle=round(now - worker.last_seen, 3),
                     )
-                    self._requeue_worker_leases(worker, reason="worker_lost")
+                    self._requeue_worker_leases(worker, "worker lost")
                     del self._workers[worker_id]
             for lease_id in sorted(self._leases):
                 lease = self._leases[lease_id]
-                if lease.deadline < now:
+                if lease.deadline is not None and lease.deadline < now:
                     expired.append(lease_id)
                     self._count("cluster_leases_expired_total")
                     self._log(
@@ -393,11 +475,11 @@ class ClusterScheduler:
                     holder = self._workers.get(lease.worker_id)
                     if holder is not None:
                         holder.lease_ids.discard(lease_id)
-                    self._requeue_task(
-                        lease.task, reason="lease_expired",
-                        worker=lease.worker_id,
-                    )
                     del self._leases[lease_id]
+                    self._requeue_task(
+                        lease.task, lease.worker_id,
+                        f"timed out after {self.lease_timeout:.1f}s",
+                    )
         self._flush_journal()
         for worker_id in lost:
             tracing.event("cluster_takeover", worker=worker_id, cause="worker_lost")
@@ -405,24 +487,10 @@ class ClusterScheduler:
             tracing.event("cluster_takeover", lease=lease_id, cause="lease_expired")
 
     # Leasing -----------------------------------------------------------
-    def _pop_grantable(self) -> Optional[CellTask]:
-        # Lock held.  Skip stale queue entries and divert tasks past
-        # their lease budget to the local-fallback lane.
-        while self._queue:
-            task = self._queue.popleft()
-            if task.state != PENDING:
-                continue
-            if task.attempts >= self.max_attempts:
-                self._exhausted.append(task)
-                self._log("lease_budget_exhausted", task=task.key)
-                continue
-            return task
-        return None
-
-    def _steal(self, thief_id: str) -> Optional[CellTask]:
+    def _steal(self, thief_id: str) -> Optional[Task]:
         # Lock held.  Revoke the youngest lease of the most-loaded
         # *other* worker — but never its last one, so stealing converges
-        # instead of ping-ponging a single cell between idle workers.
+        # instead of ping-ponging a single task between idle workers.
         victim: Optional[WorkerInfo] = None
         for worker in self._workers.values():
             if worker.id == thief_id or len(worker.lease_ids) < 2:
@@ -436,7 +504,6 @@ class ClusterScheduler:
         )
         lease = self._leases.pop(lease_id)
         victim.lease_ids.discard(lease_id)
-        lease.task.state = PENDING
         self._count("cluster_cells_stolen_total")
         self._log(
             "steal", task=lease.task.key, victim=victim.id, thief=thief_id,
@@ -444,97 +511,112 @@ class ClusterScheduler:
         )
         return lease.task
 
-    def lease(self, worker_id: str, max_leases: int = 1) -> Dict:
-        """Grant up to ``max_leases`` cells to ``worker_id``.
+    def _grant(self, worker: WorkerInfo, max_leases: int) -> List[Dict]:
+        # Lock held.  Pending tasks first; an empty queue triggers work
+        # stealing (one task).
+        now = self.now()
+        tasks: List[Task] = []
+        while self._queue and len(tasks) < max_leases:
+            tasks.append(self._queue.popleft())
+        if not tasks:
+            stolen = self._steal(worker.id)
+            if stolen is not None:
+                tasks.append(stolen)
+        grants = []
+        for task in tasks:
+            task.state = LEASED
+            task.attempts += 1
+            self._lease_serial += 1
+            lease = Lease(
+                id=f"lease-{self._lease_serial:06d}",
+                task=task,
+                worker_id=worker.id,
+                issued=now,
+                deadline=(
+                    None if self.lease_timeout is None
+                    else now + self.lease_timeout
+                ),
+            )
+            task.lease = lease.id
+            self._leases[lease.id] = lease
+            worker.lease_ids.add(lease.id)
+            self._count("cluster_leases_issued_total")
+            self._log(
+                "issue", lease=lease.id, task=task.key, worker=worker.id,
+                attempt=task.attempts,
+            )
+            grants.append(
+                {
+                    "lease_id": lease.id,
+                    "attempt": task.attempts,
+                    "deadline_seconds": self.lease_timeout,
+                    "spec": task.spec,
+                }
+            )
+        return grants
 
-        An empty queue triggers work stealing (one cell).  An unknown
-        worker gets ``known: false`` and should re-register.
+    def lease(
+        self, worker_id: str, max_leases: int = 1, wait: float = 0.0
+    ) -> Dict:
+        """Grant up to ``max_leases`` tasks to ``worker_id``.
+
+        With nothing to grant, the request blocks for up to ``wait``
+        seconds (capped at the worker TTL) until work arrives, so an
+        idle worker re-asks at once instead of sleeping between polls.
+        An unknown worker gets ``known: false`` and should re-register.
         """
         from repro.faults.sites import fault_point
 
         fault_point("cluster.lease")
         self.reap()
         max_leases = max(1, int(max_leases))
-        now = self.now()
+        give_up = time.monotonic() + min(max(0.0, float(wait)), self.worker_ttl)
         with self._lock:
-            worker = self._workers.get(worker_id)
-            if worker is None:
-                return {"schema": LEASE_SCHEMA, "known": False, "leases": []}
-            worker.last_seen = now
-            granted: List[CellTask] = []
-            while len(granted) < max_leases:
-                task = self._pop_grantable()
-                if task is None:
+            while True:
+                worker = self._workers.get(worker_id)
+                if worker is None:
+                    return {"schema": LEASE_SCHEMA, "known": False, "leases": []}
+                worker.last_seen = self.now()
+                grants = self._grant(worker, max_leases)
+                remaining = give_up - time.monotonic()
+                if grants or remaining <= 0:
                     break
-                granted.append(task)
-            if not granted:
-                stolen = self._steal(worker_id)
-                if stolen is not None:
-                    granted.append(stolen)
-            leases = []
-            for task in granted:
-                task.state = LEASED
-                task.attempts += 1
-                self._lease_serial += 1
-                lease = Lease(
-                    id=f"lease-{self._lease_serial:06d}",
-                    task=task,
-                    worker_id=worker_id,
-                    issued=now,
-                    deadline=now + self.lease_timeout,
-                )
-                self._leases[lease.id] = lease
-                worker.lease_ids.add(lease.id)
-                self._count("cluster_leases_issued_total")
-                self._log(
-                    "issue", lease=lease.id, task=task.key, worker=worker_id,
-                    attempt=task.attempts,
-                )
-                leases.append(
-                    {
-                        "lease_id": lease.id,
-                        "attempt": task.attempts,
-                        "deadline_seconds": self.lease_timeout,
-                        "cell": cell_fields(task.cell),
-                    }
-                )
+                self._work.wait(remaining)
         self._flush_journal()
-        return {"schema": LEASE_SCHEMA, "known": True, "leases": leases}
+        if grants and self.registry is not None:
+            self.registry.counter("worker_attempts_total").inc(len(grants))
+        return {"schema": LEASE_SCHEMA, "known": True, "leases": grants}
+
+    def lease_live(self, lease_id: str) -> bool:
+        """Whether ``lease_id`` is still granted (not completed, expired,
+        stolen or withdrawn)."""
+        with self._lock:
+            return lease_id in self._leases
 
     # Results -----------------------------------------------------------
-    def _valid_payload(self, task: CellTask, payload: object) -> bool:
-        return (
-            isinstance(payload, dict)
-            and payload.get("schema") == CELL_SCHEMA
-            and payload.get("cell") == cell_fields(task.cell)
-            and isinstance(payload.get("stats"), dict)
-            and isinstance(payload.get("extras"), dict)
-        )
-
-    def _finish_task(
-        self, task: CellTask, payload: Dict, source: str
-    ) -> None:
-        offer = False
-        with self._lock:
-            if task.state != DONE:
-                task.state = DONE
-                task.payload = payload
-                self._log("complete", task=task.key, source=source)
-                offer = True
-        task.event.set()
-        self._flush_journal()
-        if offer and self.store is not None:
+    def _publish(self, task: Task) -> None:
+        # The store put lands before the event fires, so a run that sees
+        # the task done can serve its key at once.
+        if self.store is not None:
             # The cluster-wide memo: identical bytes to a local run's
             # stored result, under the identical key.
-            self.store.put(task.key, payload_bytes(payload))
+            task.stored = self.store.put(task.key, payload_bytes(task.payload))
+        task.event.set()
 
-    def complete(self, lease_id: str, worker_id: str, payload: object) -> Dict:
-        """Ingest one pushed cell result.
+    def complete(
+        self,
+        lease_id: str,
+        worker_id: str,
+        payload: object = None,
+        error: Optional[str] = None,
+    ) -> Dict:
+        """Ingest one pushed result: a payload, or the ``error`` the
+        worker's run raised, which fails the task without a retry.
 
-        Stale pushes (expired/stolen/unknown leases, id mismatches) are
-        acknowledged and dropped — the authoritative copy either exists
-        already or is owed by a newer lease.  A payload that does not
-        match the leased cell re-queues the cell.
+        Stale pushes (expired/stolen/withdrawn/unknown leases, id
+        mismatches) are acknowledged and dropped — the authoritative
+        copy either exists already or is owed by a newer lease.  A
+        payload that does not match the leased spec re-queues the task.
         """
         from repro.faults.sites import fault_point
 
@@ -551,18 +633,26 @@ class ClusterScheduler:
                 worker.lease_ids.discard(lease_id)
                 worker.last_seen = self.now()
             task = lease.task
-            if not self._valid_payload(task, payload):
+            task.lease = None
+            if error is not None:
+                self._fail(task, str(error))
+                return {"accepted": True, "stale": False}
+            if not _valid_payload(task.spec, payload):
                 self._count("cluster_results_stale_total")
                 self._log(
                     "rejected_result", lease=lease_id, task=task.key,
                     worker=worker_id,
                 )
-                self._requeue_task(task, reason="rejected_result", worker=worker_id)
+                self._requeue_task(task, worker_id, "rejected result")
                 return {"accepted": False, "stale": False}
+            task.state = DONE
+            task.payload = payload  # type: ignore[assignment]
             self._count("cluster_leases_completed_total")
             if worker is not None:
                 worker.completed += 1
-        self._finish_task(task, payload, source=worker_id)
+            self._log("complete", task=task.key, source=worker_id)
+        self._flush_journal()
+        self._publish(task)
         return {"accepted": True, "stale": False}
 
     # Trace sharding ----------------------------------------------------
@@ -593,47 +683,104 @@ class ClusterScheduler:
         return blob
 
     # Execution ---------------------------------------------------------
-    def _task_for(self, cell: SimCell) -> CellTask:
-        key = cell_task_key(cell)
+    def _acquire(self, work: Sequence[Tuple[str, Dict]]) -> List[Task]:
+        """The tasks for ``(key, spec)`` pairs, one waiter each: shared
+        with other runs where the key is already owed, answered from
+        the result store where it is resident, queued otherwise."""
+        tasks: List[Task] = []
+        fresh: List[Task] = []
         with self._lock:
-            task = self._tasks.get(key)
-            if task is not None:
-                return task
-            task = CellTask(key, cell)
-            self._tasks[key] = task
-        # Store lookup outside the lock (disk IO); racing creators are
-        # impossible — the dict insert above is the only entry point
-        # and runs under the lock.
-        stored = self.store.get(key) if self.store is not None else None
-        if stored is not None:
-            self._finish_task(task, json.loads(stored), source="store")
-            return task
+            for key, spec in work:
+                task = self._tasks.get(key)
+                if task is None:
+                    task = self._tasks[key] = Task(key, spec)
+                    fresh.append(task)
+                task.waiters += 1
+                tasks.append(task)
+        # Store lookups happen outside the lock (disk IO); fresh tasks
+        # are in no queue yet, so nothing can lease them meanwhile.  A
+        # peek: the memo probe is no client read, so it feeds neither
+        # the admission sketch nor the hit/miss counters.
+        stored = {
+            task.key: self.store.peek(task.key) if self.store is not None else None
+            for task in fresh
+        }
         with self._lock:
-            if task.state == PENDING:
-                self._queue.append(task)
-        return task
+            for task in fresh:
+                blob = stored[task.key]
+                if blob is not None:
+                    task.state = DONE
+                    task.payload = json.loads(blob)
+                    task.stored = True
+                    self._log("complete", task=task.key, source="store")
+                    task.event.set()
+                else:
+                    self._queue.append(task)
+            self._work.notify_all()
+        self._flush_journal()
+        return tasks
 
-    def _claim_local(self) -> Optional[CellTask]:
-        # A task past its lease budget is always ours; a pending task
-        # is ours only when no live worker could take it.
-        now = self.now()
+    def _release(self, tasks: Sequence[Task]) -> None:
+        """A run stopped waiting on ``tasks``: forget every task no other
+        run awaits, withdrawing unfinished ones from the queue and from
+        their lease holders."""
         with self._lock:
-            while self._exhausted:
-                task = self._exhausted.popleft()
+            for task in tasks:
+                task.waiters -= 1
+                if task.waiters > 0:
+                    continue
+                if self._tasks.get(task.key) is task:
+                    del self._tasks[task.key]
                 if task.state == PENDING:
-                    task.state = LOCAL
-                    return task
-            live = any(
-                now - worker.last_seen <= self.worker_ttl
-                for worker in self._workers.values()
-            )
-            if not live:
-                while self._queue:
-                    task = self._queue.popleft()
-                    if task.state == PENDING:
-                        task.state = LOCAL
-                        return task
-        return None
+                    try:
+                        self._queue.remove(task)
+                    except ValueError:
+                        pass
+                elif task.state == LEASED:
+                    lease = self._leases.pop(task.lease or "", None)
+                    if lease is not None:
+                        holder = self._workers.get(lease.worker_id)
+                        if holder is not None:
+                            holder.lease_ids.discard(lease.id)
+                    self._log("withdraw", task=task.key, lease=task.lease)
+
+    def _wait(
+        self,
+        tasks: Sequence[Task],
+        progress=None,
+        should_cancel=None,
+        attempts: Optional[AttemptHook] = None,
+    ) -> None:
+        """Block until every task is done; raises :class:`TaskFailed` as
+        soon as one fails and :class:`RunCancelled` when
+        ``should_cancel()`` turns true."""
+        total = len(tasks)
+        reported = -1
+        highest = 0
+        while True:
+            if attempts is not None:
+                top = max((task.attempts for task in tasks), default=0)
+                if top > highest:
+                    highest = top
+                    attempts(top)
+            done = 0
+            for task in tasks:
+                if task.event.is_set():
+                    if task.state == FAILED:
+                        raise TaskFailed(task.error)
+                    done += 1
+            if progress is not None and done != reported:
+                progress(done, total)
+                reported = done
+            if done == total:
+                return
+            if should_cancel is not None and should_cancel():
+                raise RunCancelled(f"cancelled after {done}/{total} tasks")
+            self.reap()
+            for task in tasks:
+                if not task.event.is_set():
+                    task.event.wait(_TICK)
+                    break
 
     def run_cells(
         self,
@@ -641,69 +788,74 @@ class ClusterScheduler:
         progress=None,
         should_cancel=None,
         store=None,
+        attempts: Optional[AttemptHook] = None,
     ) -> List[CellResult]:
-        """Execute cells across the fabric; results in input order.
+        """Execute cells as tasks; results in input order.
 
-        This is the engine's :data:`~repro.engine.runner.CellExecutor`
-        hook.  Cells resolve through (in order): the result store, an
-        in-flight shared task, a worker lease, or — when workers are
-        gone or a cell's lease budget is spent — local computation in
-        this thread.  Either way the cell runs through
-        :func:`repro.engine.cells.run_cell` semantics, so the merged
-        results are bit-identical to a local run.
+        Fits the engine's :data:`~repro.engine.runner.CellExecutor`
+        hook; ``store`` is ignored, since workers replay cells on their
+        own trace stores.  Cells resolve through the result store, an
+        in-flight shared task or a worker lease, and every worker runs
+        :func:`repro.engine.cells.run_cell`, so the merged results are
+        bit-identical to a local run.
         """
-        tasks = [self._task_for(cell) for cell in cells]
-        total = len(tasks)
-        reported = -1
-        while True:
-            done = sum(1 for task in tasks if task.state == DONE)
-            if progress is not None and done != reported:
-                progress(done, total)
-                reported = done
-            if done == total:
-                break
-            if should_cancel is not None and should_cancel():
-                raise RunCancelled(
-                    f"cancelled after {done}/{total} cells"
-                )
-            self.reap()
-            claimed = self._claim_local()
-            if claimed is not None:
-                self._run_local(claimed, store)
-                continue
-            for task in tasks:
-                if task.state != DONE:
-                    task.event.wait(0.05)
-                    break
-        return [self._result_for(task) for task in tasks]
-
-    def _run_local(self, task: CellTask, store) -> None:
-        from repro.obs import tracing
-
-        with self._lock:
-            self._count("cluster_local_fallback_total")
-            self._log(
-                "local_fallback", task=task.key, attempt=task.attempts,
-            )
-        tracing.event("cluster_local_fallback", task=task.key)
-        if store is None:
-            from repro.workloads.store import shared_store
-
-            store = shared_store
-        result = run_cell(task.cell, store)
-        self._finish_task(task, cell_payload(result), source="local")
-
-    @staticmethod
-    def _result_for(task: CellTask) -> CellResult:
-        payload = task.payload
-        assert payload is not None  # task.state == DONE guarantees it
-        # JSON round-trips preserve int vs float, so the dicts are the
-        # originals bit-for-bit — no numeric coercion wanted here.
-        return CellResult(
-            cell=task.cell,
-            stats=dict(payload["stats"]),
-            extras=dict(payload["extras"]),
+        tasks = self._acquire(
+            [(cell_task_key(cell), cell_spec(cell)) for cell in cells]
         )
+        try:
+            self._wait(tasks, progress, should_cancel, attempts)
+            # JSON round-trips preserve int vs float, so the dicts are
+            # the originals bit-for-bit — no numeric coercion wanted.
+            return [
+                CellResult(
+                    cell=cell,
+                    stats=dict(task.payload["stats"]),
+                    extras=dict(task.payload["extras"]),
+                )
+                for cell, task in zip(cells, tasks)
+            ]
+        finally:
+            self._release(tasks)
+
+    def run_spec(
+        self,
+        spec: Dict,
+        key: str,
+        progress=None,
+        should_cancel=None,
+        attempts: Optional[AttemptHook] = None,
+    ) -> Tuple[Dict, Optional[bool]]:
+        """Run one normalised job spec; returns ``(payload, stored)``.
+
+        A grid experiment runs through the engine with this scheduler
+        as its cell executor — planned, its cells fanned out as tasks,
+        merged in plan order — and the merged payload is offered to the
+        store under ``key``.  Any other spec is one task keyed ``key``,
+        so its store put is the task's own.
+        """
+        if spec["type"] == "experiment":
+            from repro.experiments.registry import get_experiment
+            from repro.experiments.render import experiment_payload
+
+            experiment = get_experiment(spec["experiment_id"])
+            if experiment.plan_cells(spec["fast"]) is not None:
+                result = experiment.run_with_engine(
+                    fast=spec["fast"],
+                    progress=progress,
+                    should_cancel=should_cancel,
+                    executor=partial(self.run_cells, attempts=attempts),
+                )
+                payload = experiment_payload(result)
+                stored = None
+                if self.store is not None:
+                    stored = self.store.put(key, payload_bytes(payload))
+                return payload, stored
+        tasks = self._acquire([(key, spec)])
+        try:
+            self._wait(tasks, progress, should_cancel, attempts)
+            return tasks[0].payload, tasks[0].stored
+        finally:
+            self._release(tasks)
 
     # Durability --------------------------------------------------------
     def restore(
@@ -763,191 +915,10 @@ class ClusterScheduler:
             samples["cluster_workers"] = {"type": "gauge", "value": live}
             samples["cluster_pending_cells"] = {
                 "type": "gauge",
-                "value": len(self._queue) + len(self._exhausted),
+                "value": len(self._queue),
             }
             samples["cluster_leased_cells"] = {
                 "type": "gauge",
                 "value": len(self._leases),
             }
         return samples
-
-
-def execute_spec_cluster(
-    spec: Dict,
-    scheduler: ClusterScheduler,
-    progress=None,
-    should_cancel=None,
-) -> Dict:
-    """Run one normalised job spec through the cluster fabric.
-
-    The cluster analogue of :func:`repro.service.api.execute_spec`:
-    experiments decompose via ``plan_cells`` and fan their cells across
-    workers through the scheduler's executor hook; single-cell specs
-    lease directly.  Same payload bytes either way.
-    """
-    from repro.workloads.store import shared_store
-
-    if spec["type"] == "experiment":
-        from repro.experiments.registry import get_experiment
-        from repro.experiments.render import experiment_payload
-
-        experiment = get_experiment(spec["experiment_id"])
-        result = experiment.run_with_engine(
-            shared_store,
-            fast=spec["fast"],
-            jobs=1,
-            progress=progress,
-            should_cancel=should_cancel,
-            executor=scheduler.run_cells,
-        )
-        return experiment_payload(result)
-    if spec["type"] == "cell":
-        from repro.cluster.protocol import cell_from_fields
-
-        cell = cell_from_fields(
-            {k: v for k, v in spec.items() if k != "type"}
-        )
-        results = scheduler.run_cells(
-            [cell], progress=progress, should_cancel=should_cancel
-        )
-        return cell_payload(results[0])
-    from repro.service.api import SpecError
-
-    raise SpecError(f"cannot execute spec type {spec.get('type')!r}")
-
-
-class ClusterExecutor:
-    """Threads that claim ``cluster``-lane jobs and drive them through
-    the scheduler.
-
-    The local :class:`~repro.service.workers.WorkerPool` keeps its
-    child-process isolation for the ``local`` lane; cluster jobs run in
-    coordinator threads because the heavy lifting happens in remote
-    worker processes anyway (and the local-fallback path is the same
-    ``run_cell`` the pool's children execute).
-    """
-
-    def __init__(
-        self,
-        queue,
-        scheduler: ClusterScheduler,
-        on_done=None,
-        dispatchers: int = 2,
-        registry=None,
-    ) -> None:
-        if dispatchers <= 0:
-            raise ValueError("cluster executor needs at least one dispatcher")
-        self.queue = queue
-        self.scheduler = scheduler
-        self.on_done = on_done
-        self.dispatchers = dispatchers
-        self.registry = registry
-        self._threads: List[threading.Thread] = []
-        self._stop = threading.Event()
-        self._draining = threading.Event()
-
-    def start(self) -> "ClusterExecutor":
-        """Spawn the dispatcher threads (idempotent)."""
-        if self._threads:
-            return self
-        for index in range(self.dispatchers):
-            thread = threading.Thread(
-                target=self._loop,
-                name=f"repro-cluster-dispatch-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-        return self
-
-    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop dispatching; ``drain=True`` finishes accepted cluster
-        jobs first (the SIGTERM path)."""
-        from repro.service import jobs as jobstates
-
-        if drain:
-            self._draining.set()
-        else:
-            for job in self.queue.jobs():
-                if job.lane == jobstates.CLUSTER_LANE and job.state in (
-                    jobstates.QUEUED, jobstates.RUNNING,
-                ):
-                    job.cancel_event.set()
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout)
-        self._threads = []
-        if not drain:
-            while self.queue.queue_depth(lane=jobstates.CLUSTER_LANE):
-                self.queue.next_job(
-                    timeout=0.01, lane=jobstates.CLUSTER_LANE
-                )
-
-    def _loop(self) -> None:
-        from repro.service import jobs as jobstates
-
-        while True:
-            if self._stop.is_set():
-                if not self._draining.is_set():
-                    return
-                if not self.queue.queue_depth(lane=jobstates.CLUSTER_LANE):
-                    return
-            job = self.queue.next_job(
-                timeout=0.1, lane=jobstates.CLUSTER_LANE
-            )
-            if job is not None:
-                self._execute(job)
-
-    def _execute(self, job) -> None:
-        from repro.common.errors import ReproError
-        from repro.obs import tracing
-        from repro.service import jobs as jobstates
-
-        self.queue.note_attempt(job, 1)
-        if self.registry is not None:
-            self.registry.counter("worker_attempts_total").inc()
-
-        def report(done: int, total: int) -> None:
-            self.queue.note_progress(job, done, total)
-
-        with tracing.span(
-            "cluster.job",
-            key=f"{job.result_key}#1",
-            attrs={"job_id": job.id},
-        ) as span:
-            try:
-                payload = execute_spec_cluster(
-                    job.spec,
-                    self.scheduler,
-                    progress=report,
-                    should_cancel=job.cancel_event.is_set,
-                )
-            except RunCancelled:
-                if span is not None:
-                    span.attrs["outcome"] = "cancelled"
-                self.queue.finish(job, jobstates.CANCELLED)
-                return
-            except ReproError as exc:
-                if span is not None:
-                    span.attrs["outcome"] = "error"
-                self.queue.finish(
-                    job, jobstates.FAILED,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                return
-            except Exception as exc:  # noqa: BLE001 - verdict, not handling
-                if span is not None:
-                    span.attrs["outcome"] = "error"
-                self.queue.finish(
-                    job, jobstates.FAILED,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                return
-            if span is not None:
-                span.attrs["outcome"] = "done"
-        stored = None
-        if self.on_done is not None:
-            stored = self.on_done(job, payload)
-        self.queue.finish(
-            job, jobstates.DONE, payload=payload, stored=stored
-        )

@@ -3,16 +3,16 @@
 The cluster protocol is a thin extension of the service's ``/v1`` JSON
 API (``docs/CLUSTER.md`` documents every endpoint).  This module holds
 what both sides must agree on: schema tags, default timing constants,
-and the cell <-> JSON converters.
+and a cell's task form (its spec and key).
 
-A leased cell travels as its plain field dict (the
-:class:`~repro.engine.cells.SimCell` dataclass fields), and a cell's
-*task key* is exactly the service's :func:`repro.service.api
-.result_key` over the equivalent ``{"type": "cell", ...}`` job spec.
-Sharing the key space is what makes the result store a cluster-wide
-memo: a cell computed by a remote worker is stored under the same key
-a direct ``POST /v1/jobs`` cell submission resolves to, so a cell
-computed anywhere is served everywhere.
+A leased task travels as its normalised job spec (a cell's spec is
+``{"type": "cell"}`` plus the :class:`~repro.engine.cells.SimCell`
+fields), and a task's key is exactly the service's
+:func:`repro.service.api.result_key` over that spec.  Sharing the key
+space is what makes the result store a cluster-wide memo: a cell
+computed by any worker is stored under the same key a direct ``POST
+/v1/jobs`` cell submission resolves to, so a cell computed anywhere is
+served everywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.engine.cells import SimCell
-from repro.service.api import _CELL_FIELDS, normalise_spec, result_key
+from repro.service.api import _CELL_FIELDS, result_key
 
 #: Schema tag on registration responses and heartbeat acknowledgements.
 WORKER_SCHEMA = "worker/v1"
@@ -29,11 +29,7 @@ WORKER_SCHEMA = "worker/v1"
 WORKERS_SCHEMA = "workers/v1"
 
 #: Schema tag on lease grants (``POST /v1/cells/lease`` responses).
-LEASE_SCHEMA = "lease/v1"
-
-#: How long a granted lease stays valid before the coordinator assumes
-#: the holder is lost and re-issues the cell.
-DEFAULT_LEASE_SECONDS = 30.0
+LEASE_SCHEMA = "lease/v2"
 
 #: How long a silent worker stays registered.  Workers heartbeat at a
 #: third of this, so one dropped beat never kills a healthy worker.
@@ -44,8 +40,7 @@ DEFAULT_WORKER_TTL_SECONDS = 10.0
 #: any resulting skew.
 DEFAULT_LEASE_BATCH = 2
 
-#: Lease attempts per cell before the coordinator stops re-issuing and
-#: computes the cell locally (the liveness backstop).
+#: Lease attempts per task before the task fails (``serve --retries 2``).
 DEFAULT_MAX_ATTEMPTS = 3
 
 
@@ -54,17 +49,11 @@ def cell_fields(cell: SimCell) -> Dict[str, object]:
     return {name: getattr(cell, name) for name in _CELL_FIELDS}
 
 
-def cell_from_fields(fields: Dict[str, object]) -> SimCell:
-    """Rebuild a validated :class:`SimCell` from its wire form.
-
-    Goes through :func:`~repro.service.api.normalise_spec`, so a
-    malformed or unknown-workload cell raises the same typed errors a
-    bad job submission would.
-    """
-    spec = dict(fields)
-    spec["type"] = "cell"
-    normalised = normalise_spec(spec)
-    return SimCell(**{name: normalised[name] for name in _CELL_FIELDS})
+def cell_spec(cell: SimCell) -> Dict[str, object]:
+    """A cell as its normalised ``type: cell`` job spec."""
+    spec: Dict[str, object] = {"type": "cell"}
+    spec.update(cell_fields(cell))
+    return spec
 
 
 def cell_task_key(cell: SimCell) -> str:
@@ -74,6 +63,4 @@ def cell_task_key(cell: SimCell) -> str:
     spec, by construction — the cluster and the job API share one
     result namespace.
     """
-    spec: Dict[str, object] = {"type": "cell"}
-    spec.update(cell_fields(cell))
-    return result_key(spec)
+    return result_key(cell_spec(cell))

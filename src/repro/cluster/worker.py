@@ -1,11 +1,15 @@
 """The thin cluster worker: register, heartbeat, lease, compute, push.
 
-``repro-fvc worker --coordinator URL`` runs :func:`run_worker`: an
-event loop that registers with the coordinator, heartbeats from a
-daemon thread, pulls cell leases in small batches and executes each
-cell through the one shared :func:`repro.engine.cells.run_cell` path —
-so a worker-computed cell is bit-identical to a locally computed one
-by construction.
+``repro-fvc worker --coordinator URL`` runs :func:`run_worker`, and
+each of ``serve --workers K``'s local worker processes runs the same
+:func:`work_loop` over a pipe (:mod:`repro.cluster.pipe`): register
+with the coordinator, heartbeat from a daemon thread, pull task leases
+in small batches and run each leased spec through the one shared
+:func:`repro.service.api.execute_spec` path on the worker's own trace
+store — so a worker-computed result is bit-identical to a local run by
+construction.  A run that raises is pushed as an ``error``: the
+failure is deterministic, so the coordinator fails the task instead of
+re-issuing it.
 
 The worker is deliberately stateless: everything it needs travels over
 the ``/v1`` protocol.  Missing workload traces resolve through
@@ -16,10 +20,10 @@ fallback.  Transport failures lean on the PR-4 machinery: the client
 is armed with a seeded-backoff :class:`~repro.service.resilience
 .RetryPolicy` and a :class:`~repro.service.resilience.CircuitBreaker`,
 and anything that still escapes is treated as transient — the worker
-sleeps and re-polls, and the coordinator's lease timeout covers the
-cells it was holding.
+waits and re-polls, and the coordinator's lease deadline covers the
+tasks it was holding.
 
-SIGTERM/SIGINT finish the in-flight cell, push its result, deregister,
+SIGTERM/SIGINT finish the in-flight task, push its result, deregister,
 and exit; SIGKILL is the case the lease protocol exists for.
 """
 
@@ -36,15 +40,15 @@ from typing import Optional
 from repro import obs
 from repro.common.errors import IntegrityError, TraceFormatError
 from repro.common.integrity import unwrap, write_enveloped
-from repro.engine.cells import cell_span_key, run_cell
+from repro.engine.runner import _WORKER_STORE_TRACES
 from repro.engine.trace_cache import TraceCache, default_cache_dir
-from repro.service.api import cell_payload
+from repro.service.api import execute_spec, result_key
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.resilience import CircuitBreaker, CircuitOpenError, RetryPolicy
 from repro.trace.io import trace_from_bytes
 from repro.trace.trace import Trace
 from repro.workloads.store import TraceStore
-from repro.cluster.protocol import DEFAULT_LEASE_BATCH, cell_from_fields
+from repro.cluster.protocol import DEFAULT_LEASE_BATCH
 
 
 @dataclass
@@ -56,13 +60,14 @@ class WorkerConfig:
     #: Leases pulled per request (>1 amortises round trips; stealing
     #: rebalances the skew).
     batch: int = DEFAULT_LEASE_BATCH
-    #: Idle re-poll interval when the coordinator has nothing to lease.
+    #: Seconds the coordinator holds an empty lease request open (and
+    #: the back-off after a transport failure).
     poll: float = 0.5
     #: HTTP timeout per request.
     timeout: float = 30.0
-    #: Exit after this many completed cells (test/benchmark bound).
+    #: Exit after this many completed tasks (test/benchmark bound).
     max_cells: Optional[int] = None
-    #: Exit once the coordinator drains (after completing >= 1 cell).
+    #: Exit once the coordinator drains (after completing >= 1 task).
     once: bool = False
 
 
@@ -184,14 +189,35 @@ def _heartbeat_loop(
                 continue
 
 
+def _run_lease(lease: dict, store: TraceStore):
+    """Run one leased spec; returns ``(payload, None)`` or ``(None,
+    error)`` when the run raised (a deterministic failure, so the
+    coordinator fails the task instead of re-issuing it)."""
+    from repro.faults.sites import apply_child_fault
+    from repro.obs import tracing
+
+    spec = lease["spec"]
+    with tracing.span(
+        "cluster.task",
+        key=f"{result_key(spec)}#{lease['attempt']}",
+        attrs={"lease": lease["lease_id"], "attempt": lease["attempt"]},
+    ):
+        try:
+            # Only a local worker's grant carries a fault: the parent
+            # decided it (``worker.child``), so ``@1`` means the first
+            # attempt whichever child takes it.
+            apply_child_fault(lease.get("fault"))
+            return execute_spec(spec, store=store), None
+        except Exception as exc:  # noqa: BLE001 - verdict, not handling
+            return None, f"{type(exc).__name__}: {exc}"
+
+
 def run_worker(config: WorkerConfig) -> int:
-    """Run one worker process until stopped or drained.
+    """Run one HTTP worker process until stopped or drained.
 
     Returns the process exit code (0 on a clean stop).  Installs
     SIGTERM/SIGINT handlers when running in the main thread.
     """
-    from repro.obs import tracing
-
     client = ServiceClient(
         config.coordinator,
         timeout=config.timeout,
@@ -206,7 +232,13 @@ def run_worker(config: WorkerConfig) -> int:
     if threading.current_thread() is threading.main_thread():
         signal.signal(signal.SIGTERM, _graceful)
         signal.signal(signal.SIGINT, _graceful)
+    return work_loop(client, config, stop)
 
+
+def work_loop(client, config: WorkerConfig, stop: threading.Event) -> int:
+    """The worker loop over ``client``: a :class:`ServiceClient` for a
+    remote worker, a :class:`~repro.cluster.pipe.PipeClient` for a
+    local one.  Returns the exit code."""
     reg = _Registration()
     try:
         _register(client, config, reg)
@@ -218,7 +250,8 @@ def run_worker(config: WorkerConfig) -> int:
         "off", "0", "no", "false",
     )
     store = TraceStore(
-        disk_cache=ClusterTraceCache(default_cache_dir(), client, persist=persist)
+        max_traces=_WORKER_STORE_TRACES,
+        disk_cache=ClusterTraceCache(default_cache_dir(), client, persist=persist),
     )
 
     beat = threading.Thread(
@@ -230,14 +263,17 @@ def run_worker(config: WorkerConfig) -> int:
     beat.start()
 
     completed = 0
-    exit_code = 0
     try:
         while not stop.is_set():
             if config.max_cells is not None and completed >= config.max_cells:
                 break
             worker_id = reg.current()
             try:
-                grant = client.lease_cells(worker_id, max_leases=config.batch)
+                # The coordinator holds an empty request for up to
+                # ``poll`` seconds, so there is no sleep between polls.
+                grant = client.lease_cells(
+                    worker_id, max_leases=config.batch, wait=config.poll
+                )
             except (ServiceError, CircuitOpenError):
                 stop.wait(config.poll)
                 continue
@@ -248,37 +284,24 @@ def run_worker(config: WorkerConfig) -> int:
                     stop.wait(config.poll)
                 continue
             leases = grant.get("leases", [])
-            if not leases:
-                if config.once and completed > 0:
-                    break
-                stop.wait(config.poll)
-                continue
+            if not leases and config.once and completed > 0:
+                break
             for lease in leases:
                 if stop.is_set():
                     break  # unpushed leases re-issue via their timeout
-                cell = cell_from_fields(lease["cell"])
-                with tracing.span(
-                    "cluster.cell",
-                    key=cell_span_key(cell),
-                    attrs={
-                        "lease": lease["lease_id"],
-                        "attempt": lease["attempt"],
-                    },
-                ):
-                    result = run_cell(cell, store)
-                payload = cell_payload(result)
+                payload, error = _run_lease(lease, store)
                 try:
                     ack = client.push_cell_result(
-                        lease["lease_id"], reg.current(), payload
+                        lease["lease_id"], reg.current(), payload, error=error
                     )
                 except (ServiceError, CircuitOpenError):
                     continue  # lease expiry covers the lost push
                 if not ack.get("accepted", False):
-                    # Stale lease — expired, stolen, or the coordinator
-                    # restarted and invalidated every pre-crash grant.
-                    # The rest of this batch is just as dead: drop it
-                    # and re-lease (re-registering if needed) instead
-                    # of computing cells nobody will accept.
+                    # Stale lease — expired, stolen, withdrawn, or the
+                    # coordinator restarted and invalidated every
+                    # pre-crash grant.  The rest of this batch is just as
+                    # dead: drop it and re-lease (re-registering if
+                    # needed) instead of running tasks nobody will accept.
                     break
                 completed += 1
                 if obs.enabled():
@@ -297,4 +320,4 @@ def run_worker(config: WorkerConfig) -> int:
             except (ServiceError, CircuitOpenError):
                 pass
         beat.join(timeout=2.0)
-    return exit_code
+    return 0

@@ -150,22 +150,22 @@ def run_cells(
     if done:
         _completed(done)
 
-    def _record(index: int, result: CellResult) -> None:
+    def _record(index: int, result: CellResult, report: bool = True) -> None:
         nonlocal done
         results[index] = result
         if checkpoint is not None:
             checkpoint.save(result)
         done += 1
-        _completed(done)
+        if report:
+            _completed(done)
 
     if executor is not None and pending:
         pending_cells = [cells[index] for index in pending]
 
         def _executor_progress(exec_done: int, _exec_total: int) -> None:
-            # Interim counts from the executor map onto the overall
-            # run: restored cells are already reported, executor cells
-            # land on top.  _record re-reports each final count, which
-            # is harmless — progress is monotone and observational.
+            # Counts from the executor map onto the overall run:
+            # restored cells are already reported, executor cells land
+            # on top.
             _completed(done + exec_done)
 
         exec_results = executor(
@@ -176,7 +176,9 @@ def run_cells(
         )
         for index, result in zip(pending, exec_results):
             _check_cancel()
-            _record(index, result)
+            # The executor reported these counts already; reporting
+            # them again would move progress backwards.
+            _record(index, result, report=False)
         return results  # type: ignore[return-value]
     if jobs <= 1 or len(pending) <= 1:
         for index in pending:

@@ -115,9 +115,10 @@ SITE_CATALOG: Dict[str, Site] = _catalog(
     ),
     Site(
         "worker.child",
-        "One service worker attempt, applied inside the child process "
-        "(crash/hang/slow/raise); the deciding counter lives in the "
-        "parent, so @1 means the job's first attempt.",
+        "One lease handed to a service local worker, applied inside the "
+        "child before it runs the task (crash/hang/slow/raise); the "
+        "deciding counter lives in the parent, so @1 means the first "
+        "lease attempt.",
     ),
     Site(
         "server.request",
@@ -243,8 +244,7 @@ def decide_child_fault(site: str = "worker.child"):
 
     Returns the picklable ``(clause, ordinal)`` pair (or ``None``) so
     the parent's counters govern ordinals across attempts — ``@1``
-    means "the first attempt", even though each attempt is a fresh
-    process.
+    means "the first attempt", whichever child process runs it.
     """
     plan = active()
     if plan is None:

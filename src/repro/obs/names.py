@@ -74,7 +74,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "jobs_running",
         "queue_depth",
         "max_queue_depth",
-        # Service: worker pool (repro.service.workers).
+        # Service: lease attempts of jobs' tasks (repro.cluster.coordinator).
         "worker_attempts_total",
         # Service: result store (repro.service.result_store).
         "result_store_hits_total",
@@ -121,7 +121,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "cluster_leases_reissued_total",
         "cluster_cells_stolen_total",
         "cluster_results_stale_total",
-        "cluster_local_fallback_total",
         "cluster_trace_serves_total",
         "cluster_pending_cells",
         "cluster_leased_cells",

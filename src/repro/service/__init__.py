@@ -6,12 +6,13 @@ cooperating pieces (see ``docs/SERVICE.md`` for the full protocol):
 * :mod:`repro.service.api` — job specs, content-addressed result keys,
   JSON payloads, and the worker-side executor;
 * :mod:`repro.service.jobs` — job records, lifecycle, the queue;
-* :mod:`repro.service.workers` — process-isolated execution with
-  timeouts, cancellation and bounded crash retries;
 * :mod:`repro.service.result_store` — the persistent result store with
   TinyLFU-style frequency admission;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  stdlib HTTP JSON API and its thin client;
+  stdlib HTTP JSON API and its thin client; the server's dispatchers
+  run every job on the :mod:`repro.cluster` scheduler, whose local
+  worker processes give timeouts, cancellation and bounded crash
+  retries;
 * :mod:`repro.service.resilience` — client-side degradation: seeded
   jittered retries and a circuit breaker (server-side shedding lives
   in the queue/server pair).
@@ -46,7 +47,6 @@ from repro.service.result_store import (
     default_store_dir,
 )
 from repro.service.server import ReproService, ServiceConfig, serve
-from repro.service.workers import WorkerPool
 
 __all__ = [
     "SpecError",
@@ -58,7 +58,6 @@ __all__ = [
     "Job",
     "JobQueue",
     "QueueFullError",
-    "WorkerPool",
     "CircuitBreaker",
     "CircuitOpenError",
     "RetryPolicy",

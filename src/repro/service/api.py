@@ -157,24 +157,29 @@ def payload_bytes(payload: Dict) -> bytes:
 
 
 def execute_spec(
-    spec: Dict, progress: Optional[Callable[[int, int], None]] = None
+    spec: Dict,
+    progress: Optional[Callable[[int, int], None]] = None,
+    store=None,
 ) -> Dict:
     """Run one normalised spec to its JSON payload.
 
-    This is the function job workers execute (in a child process —
-    see :mod:`repro.service.workers`).  It goes through the exact same
-    engine path as the CLI (:func:`repro.engine.cells.run_cell` /
+    This is the function every worker runs on a leased spec, with its
+    own trace ``store`` (default: the process's shared store).  It goes
+    through the exact same engine path as the CLI
+    (:func:`repro.engine.cells.run_cell` /
     :meth:`repro.experiments.base.Experiment.run_with_engine`), which is
     what makes a served result byte-identical to a local run.
     """
-    from repro.workloads.store import shared_store
+    if store is None:
+        from repro.workloads.store import shared_store
 
+        store = shared_store
     if spec["type"] == "experiment":
         from repro.experiments.registry import get_experiment
 
         experiment = get_experiment(spec["experiment_id"])
         result = experiment.run_with_engine(
-            shared_store, fast=spec["fast"], jobs=1, progress=progress
+            store, fast=spec["fast"], jobs=1, progress=progress
         )
         return experiment_payload(result)
     if spec["type"] == "cell":
@@ -183,7 +188,7 @@ def execute_spec(
         cell = SimCell(**{name: spec[name] for name in _CELL_FIELDS})
         if progress is not None:
             progress(0, 1)
-        result = run_cell(cell, shared_store)
+        result = run_cell(cell, store)
         if progress is not None:
             progress(1, 1)
         return cell_payload(result)

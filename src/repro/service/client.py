@@ -314,20 +314,33 @@ class ServiceClient:
         """The ``workers/v1`` fabric view (topology + queue state)."""
         return self._json("GET", "/v1/workers")
 
-    def lease_cells(self, worker_id: str, max_leases: int = 1) -> Dict:
-        """Pull up to ``max_leases`` cell leases for ``worker_id``."""
+    def lease_cells(
+        self, worker_id: str, max_leases: int = 1, wait: float = 0.0
+    ) -> Dict:
+        """Pull up to ``max_leases`` task leases for ``worker_id``; with
+        nothing to grant, the coordinator holds the request for up to
+        ``wait`` seconds."""
         return self._json(
             "POST", "/v1/cells/lease",
-            body={"worker_id": worker_id, "max_leases": max_leases},
+            body={
+                "worker_id": worker_id,
+                "max_leases": max_leases,
+                "wait": wait,
+            },
         )
 
     def push_cell_result(
-        self, lease_id: str, worker_id: str, payload: Dict
+        self,
+        lease_id: str,
+        worker_id: str,
+        payload: Optional[Dict] = None,
+        error: Optional[str] = None,
     ) -> Dict:
-        """Push one computed ``repro.cell/1`` payload for a lease."""
+        """Push one lease's result: the computed payload, or the
+        ``error`` its run raised."""
         return self._json(
             "POST", f"/v1/cells/{lease_id}/result",
-            body={"worker_id": worker_id, "payload": payload},
+            body={"worker_id": worker_id, "payload": payload, "error": error},
         )
 
     def fetch_trace_entry(self, workload: str, input_name: str) -> bytes:

@@ -160,8 +160,8 @@ class Journal:
     """Append-only, integrity-enveloped record log with snapshot +
     compaction and a byte quota.
 
-    Thread-safe; shared by the HTTP threads, the worker pool and the
-    cluster executor.  ``fsync=False`` trades the power-loss guarantee
+    Thread-safe; shared by the HTTP threads, the dispatchers and the
+    scheduler.  ``fsync=False`` trades the power-loss guarantee
     for speed (tests); process crashes are still covered because the
     bytes reach the kernel on every append.
     """
@@ -543,7 +543,6 @@ class RecoveredJob:
     id: str
     spec: Dict
     result_key: str
-    lane: str
     state: str = "queued"
     attempts: int = 0
     created: float = 0.0
@@ -559,7 +558,6 @@ class RecoveredJob:
             "id": self.id,
             "spec": self.spec,
             "result_key": self.result_key,
-            "lane": self.lane,
             "state": self.state,
             "attempts": self.attempts,
             "created": self.created,
@@ -578,12 +576,14 @@ class RecoveredJob:
 
     @classmethod
     def from_state(cls, raw: Dict) -> "RecoveredJob":
+        # Records written before the one-executor service carry a
+        # ``lane``; it named an execution strategy, never state, and
+        # recovery ignores it.
         progress = raw.get("progress")
         return cls(
             id=str(raw["id"]),
             spec=dict(raw.get("spec") or {}),
             result_key=str(raw.get("result_key", "")),
-            lane=str(raw.get("lane", "local")),
             state=str(raw.get("state", "queued")),
             attempts=int(raw.get("attempts", 0)),
             created=float(raw.get("created", 0.0)),
@@ -673,7 +673,6 @@ def recover(journal: Journal) -> RecoveredState:
                     id=job_id,
                     spec=dict(record.get("spec") or {}),
                     result_key=str(record.get("result_key", "")),
-                    lane=str(record.get("lane", "local")),
                     created=float(record.get("created", 0.0)),
                 )
                 order.append(job_id)
@@ -685,7 +684,6 @@ def recover(journal: Journal) -> RecoveredState:
                     id=job_id,
                     spec=dict(record.get("spec") or {}),
                     result_key=str(record.get("result_key", "")),
-                    lane=str(record.get("lane", "local")),
                     created=float(record.get("created", 0.0)),
                     state="done",
                     cached=True,

@@ -101,8 +101,8 @@ class ResultStore:
     """Disk-backed ``result key → canonical payload bytes`` map with
     bounded capacity and frequency-based admission.
 
-    Thread-safe: the HTTP threads and the worker pool share one
-    instance.  Counters (``hits`` / ``misses`` / ``stores`` /
+    Thread-safe: the HTTP threads, the dispatchers and the scheduler
+    share one instance.  Counters (``hits`` / ``misses`` / ``stores`` /
     ``admission_rejects`` / ``evictions``) feed ``/v1/metrics``.
     """
 

@@ -31,10 +31,12 @@ Endpoints (all JSON, all under ``/v1``):
 ================================  ============================================
 
 The server is a :class:`http.server.ThreadingHTTPServer` — requests are
-cheap bookkeeping; all simulation happens in the worker pool's child
-processes, or — when cluster workers are registered — in the remote
-worker processes the :class:`~repro.cluster.ClusterScheduler` leases
-cells to (``docs/CLUSTER.md``).  ``repro-fvc serve`` wires
+cheap bookkeeping.  ``workers`` dispatcher threads drain the job queue
+and hand each job to the :class:`~repro.cluster.ClusterScheduler` as
+tasks (a grid experiment's cells, or the one spec), and all simulation
+happens in the worker processes the scheduler leases tasks to:
+``workers`` local children over a pipe, plus any remote ``repro-fvc
+worker`` over HTTP (``docs/CLUSTER.md``).  ``repro-fvc serve`` wires
 SIGTERM/SIGINT to a graceful drain: stop accepting, finish every
 accepted job, exit.
 
@@ -56,7 +58,7 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.errors import FaultInjected, ReproError, StorageExhausted
@@ -67,19 +69,14 @@ from repro.obs import (
     prometheus_text,
     tracing,
 )
-from repro.service.api import (
-    execute_spec,
-    normalise_spec,
-    payload_bytes,
-    result_key,
-)
-from repro.service.jobs import JobQueue, QueueFullError
+from repro.service import jobs as jobstates
+from repro.service.api import normalise_spec, result_key
+from repro.service.jobs import Job, JobQueue, QueueFullError
 from repro.service.result_store import (
     DEFAULT_CAPACITY,
     ResultStore,
     default_store_dir,
 )
-from repro.service.workers import WorkerPool
 
 
 @dataclass
@@ -88,10 +85,15 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8031
+    #: Local worker processes, and dispatcher threads draining the queue.
     workers: int = 2
+    #: Every lease's deadline, seconds: a task still running then is
+    #: killed (local) or revoked (remote) and re-issued.  ``None`` = no
+    #: deadline.
     job_timeout: Optional[float] = 600.0
+    #: Re-issues per task after a lost attempt (crash, timeout, worker
+    #: loss): each task gets ``max_retries + 1`` lease attempts.
     max_retries: int = 2
-    retry_backoff: float = 0.5
     store_dir: Optional[Path] = None
     store_capacity: int = DEFAULT_CAPACITY
     quiet: bool = True
@@ -100,15 +102,9 @@ class ServiceConfig:
     max_queue_depth: Optional[int] = 256
     #: Floor for the 503 ``Retry-After`` hint, seconds.
     retry_after_floor: float = 1.0
-    #: Cluster: how long a granted cell lease stays valid before it is
-    #: revoked and re-issued (worker-loss recovery latency).  Mirrors
-    #: :data:`repro.cluster.protocol.DEFAULT_LEASE_SECONDS`.
-    cluster_lease_timeout: float = 30.0
-    #: Cluster: how long a silent worker stays registered.  Mirrors
-    #: :data:`repro.cluster.protocol.DEFAULT_WORKER_TTL_SECONDS`.
+    #: Cluster: how long a silent remote worker stays registered.
+    #: Mirrors :data:`repro.cluster.protocol.DEFAULT_WORKER_TTL_SECONDS`.
     cluster_worker_ttl: float = 10.0
-    #: Cluster: coordinator threads driving ``cluster``-lane jobs.
-    cluster_dispatchers: int = 2
     #: Control-plane durability: directory for the write-ahead journal
     #: and its snapshots (``--state-dir``).  ``None`` disables the
     #: journal — the pre-durability behaviour, and what embedded test
@@ -125,13 +121,15 @@ class ServiceConfig:
 
 
 class ReproService:
-    """The assembled service: result store + job queue + worker pool +
-    HTTP front end.  ``start()``/``stop()`` make it embeddable (tests
-    run it in-process on an ephemeral port); :func:`serve` is the
-    blocking CLI entry."""
+    """The assembled service: result store + job queue + dispatchers +
+    scheduler + local workers + HTTP front end.  ``start()``/``stop()``
+    make it embeddable (tests run it in-process on an ephemeral port);
+    :func:`serve` is the blocking CLI entry."""
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
+        if self.config.workers <= 0:
+            raise ValueError("the service needs at least one worker")
         store_dir = self.config.store_dir or default_store_dir()
         self.store = ResultStore(
             store_dir, capacity=self.config.store_capacity
@@ -158,36 +156,29 @@ class ReproService:
         #: attempts) — per-instance so embedded test services never
         #: share metric state.
         self.registry = MetricsRegistry()
-        self.pool = WorkerPool(
-            self.jobs,
-            run_spec=execute_spec,
-            workers=self.config.workers,
-            job_timeout=self.config.job_timeout,
-            max_retries=self.config.max_retries,
-            retry_backoff=self.config.retry_backoff,
-            on_done=self._store_result,
-            registry=self.registry,
-        )
         # Imported lazily: repro.cluster leans on repro.service.api, so
         # a module-level import here would be circular.
-        from repro.cluster.coordinator import ClusterExecutor, ClusterScheduler
+        from repro.cluster.coordinator import ClusterScheduler
+        from repro.cluster.pipe import LocalWorker
 
-        #: Coordinator-side cluster fabric: worker registry, lease
-        #: table, pending-cell queue (docs/CLUSTER.md).
+        #: The one executor: worker registry, lease table, pending-task
+        #: queue (docs/CLUSTER.md).
         self.cluster = ClusterScheduler(
             store=self.store,
             registry=self.registry,
-            lease_timeout=self.config.cluster_lease_timeout,
+            lease_timeout=self.config.job_timeout,
             worker_ttl=self.config.cluster_worker_ttl,
+            max_attempts=self.config.max_retries + 1,
             journal=self.journal,
         )
-        self.cluster_exec = ClusterExecutor(
-            self.jobs,
-            self.cluster,
-            on_done=self._store_result,
-            dispatchers=self.config.cluster_dispatchers,
-            registry=self.registry,
-        )
+        #: ``workers`` local worker processes over a pipe.
+        self.local_workers = [
+            LocalWorker(self.cluster, f"local-{index}")
+            for index in range(self.config.workers)
+        ]
+        self._dispatchers: List[threading.Thread] = []
+        self._stop = threading.Event()
+        self._draining = threading.Event()
         # Imported lazily for symmetry with the cluster wiring:
         # repro.service.sweeps leans on repro.service.api.
         from repro.service.sweeps import SweepBoard
@@ -270,30 +261,51 @@ class ReproService:
             if self.journal is not None and self.journal.snapshot_due():
                 self.journal.snapshot(self._gather_state)
 
-    # Wiring ------------------------------------------------------------
-    def _store_result(self, job, payload: Dict) -> bool:
-        """Worker-pool completion hook: offer the payload for
-        result-store residency."""
-        return self.store.put(job.result_key, payload_bytes(payload))
+    # Dispatch ----------------------------------------------------------
+    def _dispatch_loop(self) -> None:
+        while True:
+            if self._stop.is_set():
+                if not self._draining.is_set() or not self.jobs.queue_depth():
+                    return
+            job = self.jobs.next_job(timeout=0.1)
+            if job is not None:
+                self._execute(job)
 
-    def _pick_lane(self, spec: Dict) -> str:
-        """Which lane executes a new job: the ``cluster`` lane when
-        live workers are registered and the spec decomposes into cells
-        (cell specs always do; experiments when they plan cells), the
-        local worker pool otherwise."""
-        from repro.service.jobs import CLUSTER_LANE, LOCAL_LANE
+    def _execute(self, job: Job) -> None:
+        """Run one claimed job through the scheduler to its verdict."""
+        from repro.cluster.coordinator import TaskFailed
+        from repro.engine.runner import RunCancelled
 
-        if self.cluster.live_worker_count() == 0:
-            return LOCAL_LANE
-        if spec["type"] == "cell":
-            return CLUSTER_LANE
-        if spec["type"] == "experiment":
-            from repro.experiments.registry import get_experiment
+        def progress(done: int, total: int) -> None:
+            self.jobs.note_progress(job, done, total)
 
-            experiment = get_experiment(spec["experiment_id"])
-            if experiment.plan_cells(spec["fast"]) is not None:
-                return CLUSTER_LANE
-        return LOCAL_LANE
+        def attempts(attempt: int) -> None:
+            # Every attempt past a job's first is a retry.
+            for _ in range(max(job.attempts, 1), attempt):
+                self.jobs.note_retry()
+            self.jobs.note_attempt(job, attempt)
+
+        state, error, payload, stored = jobstates.DONE, None, None, None
+        with tracing.span(
+            "dispatch.job", key=job.result_key, attrs={"job_id": job.id}
+        ) as span:
+            try:
+                payload, stored = self.cluster.run_spec(
+                    job.spec,
+                    job.result_key,
+                    progress=progress,
+                    should_cancel=job.cancel_event.is_set,
+                    attempts=attempts,
+                )
+            except RunCancelled:
+                state = jobstates.CANCELLED
+            except TaskFailed as exc:
+                state, error = jobstates.FAILED, str(exc)
+            except Exception as exc:  # noqa: BLE001 - verdict, not handling
+                state, error = jobstates.FAILED, f"{type(exc).__name__}: {exc}"
+            if span is not None:
+                span.attrs["outcome"] = state
+        self.jobs.finish(job, state, error=error, payload=payload, stored=stored)
 
     def submit(self, raw_spec: object) -> Tuple[Dict, int]:
         """Handle one submission; returns ``(body, http_status)``."""
@@ -305,9 +317,7 @@ class ReproService:
             body = job.as_dict()
             body["deduplicated"] = False
             return body, 200
-        job, deduplicated = self.jobs.submit(
-            spec, key, lane=self._pick_lane(spec)
-        )
+        job, deduplicated = self.jobs.submit(spec, key)
         body = job.as_dict()
         body["deduplicated"] = deduplicated
         return body, 200 if deduplicated else 202
@@ -327,7 +337,7 @@ class ReproService:
         expected to take, given the backlog and worker count, floored
         by the configured minimum."""
         depth = self.jobs.queue_depth()
-        workers = max(self.pool.workers, 1)
+        workers = max(self.config.workers, 1)
         estimate = max(self.config.retry_after_floor, depth / workers * 0.1)
         return max(1, int(round(estimate)))
 
@@ -398,7 +408,7 @@ class ReproService:
             "result_store_entries": store["entries"],
             "result_store_capacity": store["capacity"],
             "result_store_size_bytes": store["size_bytes"],
-            "workers": self.pool.workers,
+            "workers": self.config.workers,
             "degraded": 1 if self.degraded() else 0,
             "uptime_seconds": round(time.time() - self.started_at, 3),
         }
@@ -455,8 +465,20 @@ class ReproService:
             (self.config.host, self.config.port), handler
         )
         self._httpd.daemon_threads = True
-        self.pool.start()
-        self.cluster_exec.start()
+        # Fork the local workers before the dispatcher, journal and
+        # HTTP threads exist.
+        for worker in self.local_workers:
+            worker.start()
+        self._stop.clear()
+        self._draining.clear()
+        for index in range(self.config.workers):
+            thread = threading.Thread(
+                target=self._dispatch_loop,
+                name=f"repro-dispatch-{index}",
+                daemon=True,
+            )
+            thread.start()
+            self._dispatchers.append(thread)
         if self.journal is not None and self._maint_thread is None:
             self._maint_stop.clear()
             self._maint_thread = threading.Thread(
@@ -474,7 +496,8 @@ class ReproService:
         return self
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting requests, then stop the pool.
+        """Stop accepting requests, then the dispatchers, then the local
+        workers.
 
         ``drain=True`` finishes every accepted job first — the SIGTERM
         behaviour; ``drain=False`` cancels whatever is in flight.
@@ -486,8 +509,25 @@ class ReproService:
         if self._http_thread is not None:
             self._http_thread.join(timeout=5.0)
             self._http_thread = None
-        self.cluster_exec.stop(drain=drain, timeout=timeout)
-        self.pool.stop(drain=drain, timeout=timeout)
+        if drain:
+            self._draining.set()
+        else:
+            for job in self.jobs.jobs():
+                if job.state in (jobstates.QUEUED, jobstates.RUNNING):
+                    job.cancel_event.set()
+        self._stop.set()
+        for thread in self._dispatchers:
+            thread.join(timeout)
+        self._dispatchers = []
+        if not drain:
+            # Resolve the abandoned queue: every remaining pending job
+            # carries a set cancel_event, so claiming it marks it
+            # cancelled rather than running (next_job returns None for
+            # each, hence the depth-based loop condition).
+            while self.jobs.queue_depth():
+                self.jobs.next_job(timeout=0.01)
+        for worker in self.local_workers:
+            worker.stop(timeout)
         if self._maint_thread is not None:
             self._maint_stop.set()
             self._maint_thread.join(timeout=5.0)
@@ -516,7 +556,7 @@ def serve(config: Optional[ServiceConfig] = None) -> int:
     service.start()
     print(
         f"repro-fvc service on {service.url} "
-        f"({service.pool.workers} workers, store at {service.store.directory})",
+        f"({service.config.workers} workers, store at {service.store.directory})",
         flush=True,
     )
     if service.journal is not None and service.recovery is not None:
@@ -770,6 +810,7 @@ def _make_handler(service: ReproService, quiet: bool = True):
                     grant = service.cluster.lease(
                         str(raw.get("worker_id", "")),
                         max_leases=int(raw.get("max_leases", 1)),
+                        wait=float(raw.get("wait") or 0.0),
                     )
                 except (FaultInjected, OSError) as exc:
                     self._error(500, f"injected cluster fault: {exc}")
@@ -784,11 +825,13 @@ def _make_handler(service: ReproService, quiet: bool = True):
                 if raw is None:
                     return
                 raw = raw if isinstance(raw, dict) else {}
+                error = raw.get("error")
                 try:
                     verdict = service.cluster.complete(
                         route[2],
                         str(raw.get("worker_id", "")),
                         raw.get("payload"),
+                        error=None if error is None else str(error),
                     )
                 except (FaultInjected, OSError) as exc:
                     self._error(500, f"injected cluster fault: {exc}")

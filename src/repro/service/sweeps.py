@@ -6,7 +6,7 @@ job through :meth:`ReproService.submit` — so each cell gets the full
 job contract for free: the result-store memo (a cell shared by two
 sweeps, or already computed by a plain ``POST /v1/jobs``, is never
 simulated twice), in-flight deduplication, the journaled queue and
-crash recovery, retry/timeout handling, and cluster-lane dispatch.
+crash recovery, and retry/timeout handling on the scheduler.
 
 The sweep itself is *assembly state, not queue state*: the board
 tracks which jobs make up each sweep and, once all of them are done,

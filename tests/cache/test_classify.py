@@ -1,7 +1,10 @@
 """Tests for 3C miss classification."""
 
-from repro.cache.classify import classify_misses
+import pytest
+
+from repro.cache.classify import LineLRU, classify_misses
 from repro.cache.geometry import CacheGeometry
+from repro.cache.setassoc import SetAssociativeCache
 
 
 def _line_trace(lines, line_bytes=16):
@@ -53,3 +56,23 @@ class TestClassification:
         assert result.misses == 0
         assert result.miss_rate == 0.0
         assert result.fraction("conflict") == 0.0
+
+
+class TestLineLRU:
+    @pytest.mark.parametrize("workload", ["go", "perl"])
+    def test_hits_exactly_like_a_fully_associative_cache(
+        self, store, workload
+    ):
+        # The classifier's ideal cache must agree with the one-set
+        # SetAssociativeCache it stands in for, access by access.
+        geometry = CacheGeometry(1024, 16, ways=1)
+        lru = LineLRU(geometry.num_lines)
+        reference = SetAssociativeCache.fully_associative(
+            num_lines=geometry.num_lines, line_bytes=geometry.line_bytes
+        )
+        shift = geometry.line_shift
+        records = list(store.get(workload, "test"))
+        hits = [lru.access(addr >> shift) for _, addr, _ in records]
+        expected = [reference.access(op, addr) for op, addr, _ in records]
+        assert hits == expected
+        assert 0 < sum(hits) < len(hits)

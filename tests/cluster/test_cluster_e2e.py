@@ -1,9 +1,10 @@
 """End-to-end cluster fabric tests over real worker subprocesses.
 
 These are the test-suite twins of ``scripts/cluster_smoke.py`` (the CI
-gate): a coordinator plus two genuine ``repro-fvc worker`` processes
-run the fig13 test-scale sweep, and the stored payload must equal the
-``run --jobs 1`` bytes exactly.  The takeover test additionally
+gate): a coordinator with one local worker plus two genuine
+``repro-fvc worker`` processes run the fig13 test-scale sweep, the
+stored payload must equal the ``run --jobs 1`` bytes exactly, and both
+remote workers must have completed leases.  The takeover test additionally
 SIGKILLs a worker while it holds a lease and requires the same bytes
 plus an audit trail of the re-issue.
 """
@@ -71,13 +72,26 @@ def service(tmp_path):
             workers=1,
             store_dir=tmp_path / "results",
             # Tight TTL so worker loss is detected quickly; long lease
-            # timeout so recovery provably comes from loss reaping.
+            # deadline so recovery provably comes from loss reaping.
             cluster_worker_ttl=3.0,
-            cluster_lease_timeout=120.0,
+            job_timeout=120.0,
         )
     ).start()
     yield service
     service.stop(drain=False)
+
+
+#: The service's one local worker plus the two remote ones.
+ALL_WORKERS = 3
+
+
+def remote_completions(service):
+    """Leases each remote worker completed, by name."""
+    return {
+        entry["name"]: entry["completed"]
+        for entry in service.cluster.workers_view()["workers"]
+        if not entry["name"].startswith("local-")
+    }
 
 
 def reap_workers(workers):
@@ -101,7 +115,7 @@ class TestShardedRun:
         ]
         try:
             wait_until(
-                lambda: service.cluster.live_worker_count() == 2,
+                lambda: service.cluster.live_worker_count() == ALL_WORKERS,
                 timeout=30.0,
                 message="workers never registered",
             )
@@ -110,14 +124,14 @@ class TestShardedRun:
             done = client.wait(job["id"], timeout=600)
             assert done["state"] == "done", done
             served = client.result_bytes(done["result_key"])
+            completions = remote_completions(service)
         finally:
             reap_workers(workers)
 
         assert served == local_payload()
-        entries = service.metrics()["metrics"]
-        assert entries["cluster_leases_completed_total"]["value"] >= 1
-        # Every cell travelled through a worker lease.
-        assert entries["cluster_local_fallback_total"]["value"] == 0
+        # Both remote workers computed cells beside the local one.
+        assert sorted(completions) == ["w0", "w1"]
+        assert all(count >= 1 for count in completions.values()), completions
 
 
 class TestWorkerKillTakeover:
@@ -135,7 +149,7 @@ class TestWorkerKillTakeover:
         )
         try:
             wait_until(
-                lambda: service.cluster.live_worker_count() == 2,
+                lambda: service.cluster.live_worker_count() == ALL_WORKERS,
                 timeout=30.0,
                 message="workers never registered",
             )

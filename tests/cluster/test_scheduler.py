@@ -1,23 +1,30 @@
-"""Coordinator scheduler unit tests: leases, liveness, stealing.
+"""Coordinator scheduler unit tests: leases, liveness, stealing, the
+attempt budget and task withdrawal.
 
-Everything here drives :class:`ClusterScheduler` on an injected clock —
+Most of this drives :class:`ClusterScheduler` on an injected clock —
 no sleeping, no HTTP, and (for the protocol tests) no simulation:
-payloads are minimal valid ``repro.cell/1`` dicts.
+payloads are minimal valid ``repro.cell/1`` dicts.  The run tests
+play the worker protocol from a thread.
 """
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.cluster.coordinator import ClusterScheduler
-from repro.cluster.protocol import (
-    cell_fields,
-    cell_from_fields,
-    cell_task_key,
-)
+from repro.cluster.coordinator import ClusterScheduler, TaskFailed
+from repro.cluster.protocol import cell_fields, cell_spec, cell_task_key
 from repro.engine.cells import SimCell, run_cell
-from repro.service.api import CELL_SCHEMA, cell_payload, result_key
+from repro.engine.runner import RunCancelled
+from repro.service.api import (
+    CELL_SCHEMA,
+    cell_payload,
+    execute_spec,
+    normalise_spec,
+    payload_bytes,
+    result_key,
+)
 
 
 def make_cells(count):
@@ -41,6 +48,52 @@ def payload_for(cell):
         "stats": {"accesses": 1},
         "extras": {},
     }
+
+
+def enqueue(sched, cell):
+    """Owe one cell as a task (one waiter), as a run would."""
+    return sched._acquire([(cell_task_key(cell), cell_spec(cell))])[0]
+
+
+class ThreadWorker:
+    """A thread playing the worker protocol: lease, run, push."""
+
+    def __init__(self, sched, store):
+        self.sched = sched
+        self.store = store
+        self.worker = sched.register(name="thread")["worker_id"]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+
+    def _loop(self):
+        while not self._stop.is_set():
+            grant = self.sched.lease(self.worker, wait=0.05)
+            for lease in grant["leases"]:
+                payload = execute_spec(lease["spec"], store=self.store)
+                self.sched.complete(lease["lease_id"], self.worker, payload)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(timeout=30)
+        assert not self._thread.is_alive()
+
+
+class DictStore:
+    """The result-store calls the scheduler makes, in memory."""
+
+    def __init__(self):
+        self.blobs = {}
+
+    def peek(self, key):
+        return self.blobs.get(key)
+
+    def put(self, key, payload):
+        self.blobs[key] = payload
+        return True
 
 
 class Clock:
@@ -88,20 +141,21 @@ class TestRegistry:
     def test_deregister_requeues_held_leases(self, sched):
         worker = sched.register()["worker_id"]
         cells = make_cells(1)
-        sched._task_for(cells[0])
+        enqueue(sched, cells[0])
         assert sched.lease(worker)["leases"]
         assert sched.deregister(worker) is True
         assert sched.deregister(worker) is False
-        # The cell went back to the queue for the next worker.
+        # The cell went back to the queue for the next worker, and the
+        # attempt it never ran was handed back.
         other = sched.register()["worker_id"]
-        assert sched.lease(other)["leases"]
+        assert sched.lease(other)["leases"][0]["attempt"] == 1
 
 
 class TestLeasing:
     def test_lease_batches_and_drains(self, sched):
         worker = sched.register()["worker_id"]
         for cell in make_cells(3):
-            sched._task_for(cell)
+            enqueue(sched, cell)
         grant = sched.lease(worker, max_leases=2)
         assert len(grant["leases"]) == 2
         assert [entry["attempt"] for entry in grant["leases"]] == [1, 1]
@@ -110,22 +164,46 @@ class TestLeasing:
 
     def test_unknown_worker_is_told_to_reregister(self, sched):
         assert sched.lease("w-0404") == {
-            "schema": "lease/v1", "known": False, "leases": [],
+            "schema": "lease/v2", "known": False, "leases": [],
         }
 
     def test_leased_cell_travels_as_its_field_dict(self, sched):
+        # ... inside its normalised ``type: cell`` job spec.
         worker = sched.register()["worker_id"]
         cell = make_cells(1)[0]
-        sched._task_for(cell)
-        wire = sched.lease(worker)["leases"][0]["cell"]
-        assert cell_from_fields(wire) == cell
+        enqueue(sched, cell)
+        wire = sched.lease(worker)["leases"][0]["spec"]
+        assert wire == cell_spec(cell) == normalise_spec(wire)
+        assert {k: v for k, v in wire.items() if k != "type"} == (
+            cell_fields(cell)
+        )
+
+    def test_empty_lease_waits_for_work(self, sched):
+        worker = sched.register()["worker_id"]
+        grants = []
+        waiter = threading.Thread(
+            target=lambda: grants.append(sched.lease(worker, wait=5.0))
+        )
+        waiter.start()
+        time.sleep(0.1)
+        assert waiter.is_alive()  # blocked: nothing to grant yet
+        enqueue(sched, make_cells(1)[0])
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert len(grants[0]["leases"]) == 1
+
+    def test_empty_lease_returns_after_its_wait(self, sched):
+        worker = sched.register()["worker_id"]
+        started = time.monotonic()
+        assert sched.lease(worker, wait=0.1)["leases"] == []
+        assert 0.1 <= time.monotonic() - started < 2.0
 
     def test_expired_lease_is_reissued_with_higher_attempt(
         self, sched, clock
     ):
         worker = sched.register()["worker_id"]
         cell = make_cells(1)[0]
-        sched._task_for(cell)
+        enqueue(sched, cell)
         first = sched.lease(worker)["leases"][0]
         clock.now = 31.0  # past lease_timeout, inside a fresh ttl below
         sched.heartbeat(worker)
@@ -140,7 +218,7 @@ class TestLeasing:
     def test_worker_loss_requeues_to_survivor(self, sched, clock):
         lost = sched.register(name="doomed")["worker_id"]
         cell = make_cells(1)[0]
-        sched._task_for(cell)
+        enqueue(sched, cell)
         assert sched.lease(lost)["leases"]
         clock.now = 10.5  # doomed never heartbeats again
         survivor = sched.register(name="survivor")["worker_id"]
@@ -155,7 +233,7 @@ class TestLeasing:
     def test_idle_worker_steals_from_loaded_one(self, sched):
         loaded = sched.register(name="loaded")["worker_id"]
         for cell in make_cells(3):
-            sched._task_for(cell)
+            enqueue(sched, cell)
         assert len(sched.lease(loaded, max_leases=3)["leases"]) == 3
         thief = sched.register(name="thief")["worker_id"]
         stolen = sched.lease(thief)
@@ -165,25 +243,28 @@ class TestLeasing:
         assert len(sched.lease(thief)["leases"]) == 1
         assert sched.lease(thief)["leases"] == []
 
-    def test_lease_budget_diverts_to_local_fallback(self, sched, clock):
+    def test_an_exhausted_budget_fails_the_task(self, sched, clock):
         worker = sched.register()["worker_id"]
         cell = make_cells(1)[0]
-        sched._task_for(cell)
+        task = enqueue(sched, cell)
         for round_index in range(3):  # max_attempts grants
             assert sched.lease(worker)["leases"], round_index
             clock.now += 31.0
             sched.heartbeat(worker)
-        # Budget spent: workers never see the cell again ...
+            sched.reap()
+        # The third attempt's expiry spent the budget: the task failed
+        # with the last cause, and workers never see it again.
+        assert task.state == "failed" and task.event.is_set()
+        assert task.error == "timed out after 30.0s (gave up after 3 attempts)"
         assert sched.lease(worker)["leases"] == []
-        # ... the coordinator claims it instead.
-        assert sched._claim_local() is not None
+        assert sched.counters["cluster_leases_reissued_total"] == 2
 
 
 class TestResults:
     def test_complete_resolves_the_lease(self, sched):
         worker = sched.register()["worker_id"]
         cell = make_cells(1)[0]
-        task = sched._task_for(cell)
+        task = enqueue(sched, cell)
         lease = sched.lease(worker)["leases"][0]
         verdict = sched.complete(
             lease["lease_id"], worker, payload_for(cell)
@@ -196,7 +277,7 @@ class TestResults:
     def test_stale_push_is_acknowledged_and_dropped(self, sched, clock):
         worker = sched.register()["worker_id"]
         cell = make_cells(1)[0]
-        sched._task_for(cell)
+        enqueue(sched, cell)
         old = sched.lease(worker)["leases"][0]
         clock.now = 31.0
         sched.heartbeat(worker)
@@ -211,15 +292,28 @@ class TestResults:
         worker = sched.register()["worker_id"]
         other = sched.register()["worker_id"]
         cell = make_cells(1)[0]
-        sched._task_for(cell)
+        enqueue(sched, cell)
         lease = sched.lease(worker)["leases"][0]
         verdict = sched.complete(lease["lease_id"], other, payload_for(cell))
         assert verdict["stale"] is True
 
+    def test_pushed_error_fails_the_task_without_a_retry(self, sched):
+        worker = sched.register()["worker_id"]
+        task = enqueue(sched, make_cells(1)[0])
+        lease = sched.lease(worker)["leases"][0]
+        verdict = sched.complete(
+            lease["lease_id"], worker, error="ValueError: deterministic"
+        )
+        assert verdict == {"accepted": True, "stale": False}
+        assert task.state == "failed" and task.event.is_set()
+        assert task.error == "ValueError: deterministic"
+        assert sched.lease(worker)["leases"] == []
+        assert sched.counters["cluster_leases_reissued_total"] == 0
+
     def test_malformed_payload_requeues_the_cell(self, sched):
         worker = sched.register()["worker_id"]
         cell = make_cells(1)[0]
-        task = sched._task_for(cell)
+        task = enqueue(sched, cell)
         lease = sched.lease(worker)["leases"][0]
         bad = payload_for(make_cells(2)[1])  # wrong cell fields
         verdict = sched.complete(lease["lease_id"], worker, bad)
@@ -238,86 +332,175 @@ class TestTaskKeys:
     def test_result_store_is_a_cluster_wide_memo(self, clock, store):
         """A cell whose payload is already stored is born done — no
         lease, no simulation."""
-
-        class DictStore:
-            def __init__(self):
-                self.blobs = {}
-
-            def get(self, key):
-                return self.blobs.get(key)
-
-            def put(self, key, payload):
-                self.blobs[key] = payload
-                return True
-
         memo = DictStore()
         cell = SimCell(
             workload="go", input_name="test", kind="baseline",
             size_bytes=4 * 1024,
         )
-        first = ClusterScheduler(store=memo, clock=clock)
-        results = first.run_cells([cell], store=store)
-        assert cell_task_key(cell) in memo.blobs
+        first = ClusterScheduler(store=memo)
+        with ThreadWorker(first, store):
+            results = first.run_cells([cell])
+        assert memo.blobs[cell_task_key(cell)] == payload_bytes(
+            cell_payload(results[0])
+        )
         second = ClusterScheduler(store=memo, clock=clock)
-        again = second.run_cells([cell], store=store)
+        again = second.run_cells([cell])
         assert again[0].stats == results[0].stats
         # Second scheduler resolved purely from the store.
-        assert second.counters["cluster_local_fallback_total"] == 0
+        assert second.counters["cluster_leases_issued_total"] == 0
         assert [e["event"] for e in second.log_events()] == ["complete"]
 
 
 class TestRunCells:
-    def test_no_workers_falls_back_to_local_and_matches_run_cell(
-        self, store
-    ):
+    def test_a_task_waits_until_a_worker_leases_it(self, store):
         cells = make_cells(2)
-        sched = ClusterScheduler(clock=time.monotonic)
-        results = sched.run_cells(cells, store=store)
+        sched = ClusterScheduler()
+        results = []
+        run = threading.Thread(
+            target=lambda: results.extend(sched.run_cells(cells))
+        )
+        run.start()
+        time.sleep(0.2)
+        # The coordinator never simulates: with no worker, the tasks
+        # just wait in the queue.
+        assert run.is_alive()
+        assert sched.workers_view()["pending_cells"] == 2
+        with ThreadWorker(sched, store):
+            run.join(timeout=60)
+        assert not run.is_alive()
         for cell, result in zip(cells, results):
             direct = run_cell(cell, store)
             assert result.stats == direct.stats
             assert result.extras == direct.extras
-        assert sched.counters["cluster_local_fallback_total"] == 2
 
     def test_worker_computed_cells_merge_bit_identically(self, store):
         """A thread playing the worker protocol produces results equal
         to direct run_cell — the determinism contract end to end."""
         cells = make_cells(2)
-        sched = ClusterScheduler(
-            lease_timeout=60.0, worker_ttl=60.0, clock=time.monotonic
-        )
-        worker = sched.register(name="thread")["worker_id"]
-
-        def worker_loop():
-            done = 0
-            while done < len(cells):
-                grant = sched.lease(worker, max_leases=1)
-                for lease in grant["leases"]:
-                    cell = cell_from_fields(lease["cell"])
-                    sched.complete(
-                        lease["lease_id"], worker,
-                        cell_payload(run_cell(cell, store)),
-                    )
-                    done += 1
-
-        thread = threading.Thread(target=worker_loop, daemon=True)
-        thread.start()
-        results = sched.run_cells(cells, store=store)
-        thread.join(timeout=30)
+        sched = ClusterScheduler(lease_timeout=60.0, worker_ttl=60.0)
+        with ThreadWorker(sched, store):
+            results = sched.run_cells(cells)
         for cell, result in zip(cells, results):
             direct = run_cell(cell, store)
             assert result.stats == direct.stats
             assert result.extras == direct.extras
-        assert sched.counters["cluster_local_fallback_total"] == 0
+        assert sched.counters["cluster_leases_completed_total"] == 2
+
+    def test_the_task_table_is_empty_after_run_cells_returns(self, store):
+        sched = ClusterScheduler()
+        with ThreadWorker(sched, store):
+            sched.run_cells(make_cells(2))
+            assert sched._tasks == {}
+            # Nothing is remembered in memory: without a result store
+            # the same cells are leased and computed again.
+            sched.run_cells(make_cells(2))
+        assert sched._tasks == {}
+        assert sched.counters["cluster_leases_issued_total"] == 4
+
+    def test_a_failed_spec_runs_again_when_resubmitted(self, store):
+        sched = ClusterScheduler()
+        spec = cell_spec(make_cells(1)[0])
+        key = result_key(spec)
+        worker = sched.register()["worker_id"]
+
+        def fail_first_lease():
+            grant = sched.lease(worker, wait=10.0)
+            lease = grant["leases"][0]
+            sched.complete(lease["lease_id"], worker, error="boom")
+
+        failer = threading.Thread(target=fail_first_lease)
+        failer.start()
+        with pytest.raises(TaskFailed, match="boom"):
+            sched.run_spec(spec, key)
+        failer.join(timeout=10)
+        assert not failer.is_alive()
+        assert sched._tasks == {}
+        with ThreadWorker(sched, store):
+            payload, stored = sched.run_spec(spec, key)
+        assert payload == execute_spec(spec, store=store)
+        assert stored is None  # no result store attached
+
+    def test_cancel_withdraws_the_leased_task(self, sched):
+        worker = sched.register()["worker_id"]
+        cancel = threading.Event()
+        run = threading.Thread(
+            target=lambda: pytest.raises(
+                RunCancelled, sched.run_cells, make_cells(1),
+                should_cancel=cancel.is_set,
+            )
+        )
+        run.start()
+        lease = sched.lease(worker, wait=10.0)["leases"][0]
+        assert sched.lease_live(lease["lease_id"])
+        cancel.set()
+        run.join(timeout=10)
+        assert not run.is_alive()
+        # The only run stopped waiting: the lease was revoked, the task
+        # forgotten, and the holder's late push is acknowledged stale.
+        assert not sched.lease_live(lease["lease_id"])
+        assert sched._tasks == {}
+        verdict = sched.complete(
+            lease["lease_id"], worker, payload_for(make_cells(1)[0])
+        )
+        assert verdict["stale"] is True
+
+    def test_concurrent_runs_share_and_then_forget_tasks(self):
+        """Eight runs over overlapping cells against four workers, with
+        thread switches forced often: every run gets its own cells'
+        results, and once all return no task, lease or queue entry is
+        left — a lost waiter count or lease update would leave one."""
+        sched = ClusterScheduler()
+        cells = make_cells(6)
+        runs = [cells[i:i + 3] for i in range(4)] * 2  # shared tasks
+        results = [None] * len(runs)
+        stop = threading.Event()
+
+        def worker():
+            me = sched.register()["worker_id"]
+            while not stop.is_set():
+                for lease in sched.lease(me, max_leases=2, wait=0.01)["leases"]:
+                    spec = dict(lease["spec"])
+                    spec.pop("type")
+                    sched.complete(
+                        lease["lease_id"], me, payload_for(SimCell(**spec))
+                    )
+
+        def run(index):
+            results[index] = sched.run_cells(runs[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(4)]
+            callers = [
+                threading.Thread(target=run, args=(i,))
+                for i in range(len(runs))
+            ]
+            for thread in workers + callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        for thread in workers:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        for run_cells, got in zip(runs, results):
+            assert [result.cell for result in got] == run_cells
+        assert sched._tasks == {}
+        view = sched.workers_view()
+        assert view["pending_cells"] == view["leased_cells"] == 0
 
     def test_progress_reports_monotonically(self, store):
         cells = make_cells(2)
-        sched = ClusterScheduler(clock=time.monotonic)
+        sched = ClusterScheduler()
         seen = []
-        sched.run_cells(
-            cells, progress=lambda done, total: seen.append((done, total)),
-            store=store,
-        )
+        with ThreadWorker(sched, store):
+            sched.run_cells(
+                cells, progress=lambda done, total: seen.append((done, total)),
+            )
         assert seen[0] == (0, 2)
         assert seen[-1] == (2, 2)
         assert [s for s, _ in seen] == sorted(s for s, _ in seen)
@@ -369,7 +552,7 @@ class TestFaultSites:
         from repro.faults.plan import FaultPlan
 
         worker = sched.register()["worker_id"]
-        sched._task_for(make_cells(1)[0])
+        enqueue(sched, make_cells(1)[0])
         install(FaultPlan.parse("cluster.lease:raise@1"))
         with pytest.raises(FaultInjected):
             sched.lease(worker)
@@ -385,7 +568,7 @@ class TestFaultSites:
 
         worker = sched.register()["worker_id"]
         cell = make_cells(1)[0]
-        sched._task_for(cell)
+        enqueue(sched, cell)
         lease = sched.lease(worker)["leases"][0]
         install(FaultPlan.parse("cluster.result:raise@1"))
         with pytest.raises(FaultInjected):
@@ -424,7 +607,7 @@ class TestEpochRecovery:
         )
         sched.restore(epoch=1000.0)
         worker = sched.register()["worker_id"]
-        sched._task_for(make_cells(1)[0])
+        enqueue(sched, make_cells(1)[0])
         assert sched.lease(worker)["leases"]
         clock.now = 29.0  # epoch time 1029: inside the lease window
         sched.heartbeat(worker)
@@ -438,7 +621,7 @@ class TestEpochRecovery:
     def test_restored_serials_never_collide(self, sched):
         sched.restore(worker_serial=7, lease_serial=41)
         assert sched.register()["worker_id"] == "w-0008"
-        sched._task_for(make_cells(1)[0])
+        enqueue(sched, make_cells(1)[0])
         lease = sched.lease("w-0008")["leases"][0]
         assert lease["lease_id"] == "lease-000042"
 
@@ -478,7 +661,7 @@ class TestEpochRecovery:
             journal=journal,
         )
         worker = sched.register()["worker_id"]
-        sched._task_for(make_cells(1)[0])
+        enqueue(sched, make_cells(1)[0])
         sched.lease(worker)
         clock.now = 31.0  # past lease_timeout, worker kept alive
         sched.heartbeat(worker)

@@ -9,7 +9,7 @@ content-addressed trace.
 
 import pytest
 
-from repro.engine.cells import SimCell
+from repro.engine.cells import SimCell, run_cell
 from repro.engine.runner import default_jobs, run_cells, run_experiments
 from repro.experiments.registry import get_experiment, run_experiment
 
@@ -43,6 +43,21 @@ class TestRunCells:
 
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1
+
+    def test_executor_progress_never_moves_backwards(self, store):
+        cells = _mixed_cells()[:3]
+        seen = []
+
+        def executor(pending, progress, should_cancel, store):
+            for done in range(1, len(pending) + 1):
+                progress(done, len(pending))
+            return [run_cell(cell, store) for cell in pending]
+
+        run_cells(
+            cells, store=store, executor=executor,
+            progress=lambda done, total: seen.append((done, total)),
+        )
+        assert seen == [(1, 3), (2, 3), (3, 3)]
 
 
 class TestExperimentEngine:

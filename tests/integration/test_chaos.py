@@ -146,7 +146,10 @@ class TestReplayDeterminism:
 class TestServiceChaos:
     """A served fig13 job under a worker crash and a result-store
     bit-flip: the payload survives byte-identical, the poisoned store
-    entry is quarantined and never served."""
+    entry is quarantined and never served.
+
+    fig13's eight cells reach the store as tasks first (writes 1-8), so
+    the bit-flip targets write 9: the job payload's own."""
 
     @pytest.fixture()
     def service(self, tmp_path):
@@ -154,14 +157,13 @@ class TestServiceChaos:
 
         install(
             FaultPlan.parse(
-                "worker.child:crash@1;result_store.write:bitflip@1;seed=2"
+                "worker.child:crash@1;result_store.write:bitflip@9;seed=2"
             )
         )
         config = ServiceConfig(
             port=0,
             workers=1,
             job_timeout=300.0,
-            retry_backoff=0.05,
             store_dir=tmp_path / "results",
         )
         service = ReproService(config).start()
@@ -177,9 +179,9 @@ class TestServiceChaos:
         job = client.submit_experiment(_EXPERIMENT, fast=True)
         done = client.wait(job["id"], timeout=300.0)
 
-        # The first attempt was crashed by the plan; the retry ran
-        # clean and delivered a payload byte-identical to a local,
-        # fault-free execution of the same normalised spec.
+        # The first lease was crashed by the plan; its re-issue ran
+        # clean and the job delivered a payload byte-identical to a
+        # local, fault-free execution of the same normalised spec.
         assert done["attempts"] == 2
         spec = normalise_spec(
             {"type": "experiment", "experiment_id": _EXPERIMENT, "fast": True}

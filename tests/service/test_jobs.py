@@ -117,7 +117,7 @@ class TestViews:
 
 
 class TestNoteMutators:
-    """The queue-mediated job mutators the worker pool uses instead of
+    """The queue-mediated job mutators the dispatchers use instead of
     writing job records directly (shared with the HTTP threads)."""
 
     def test_note_attempt_updates_record(self):

@@ -1,5 +1,5 @@
 """Service observability: versioned metrics payload, prom exposition,
-job/v1-tagged job views — with the legacy flat keys gone for good."""
+job/v2-tagged job views — with the legacy flat keys gone for good."""
 
 import pytest
 
@@ -14,7 +14,6 @@ def service(tmp_path_factory):
         port=0,
         workers=1,
         job_timeout=120.0,
-        retry_backoff=0.05,
         store_dir=tmp_path_factory.mktemp("result-store"),
     )
     service = ReproService(config).start()
@@ -95,11 +94,13 @@ class TestMetricsV1:
 
 class TestJobSchema:
     def test_job_views_are_tagged(self, client, finished_job):
-        assert finished_job["schema"] == JOB_SCHEMA == "job/v1"
+        assert finished_job["schema"] == JOB_SCHEMA == "job/v2"
+        # job/v2 dropped v1's execution ``lane``.
+        assert "lane" not in finished_job
         fetched = client.status(finished_job["id"])
-        assert fetched["schema"] == "job/v1"
+        assert fetched["schema"] == "job/v2"
 
     def test_jobs_listing_is_tagged(self, client, finished_job):
         listing = client.jobs()
         assert len(listing["jobs"]) >= 1
-        assert all(job["schema"] == "job/v1" for job in listing["jobs"])
+        assert all(job["schema"] == "job/v2" for job in listing["jobs"])

@@ -23,7 +23,6 @@ def service(tmp_path_factory):
         port=0,
         workers=2,
         job_timeout=120.0,
-        retry_backoff=0.05,
         store_dir=tmp_path_factory.mktemp("sweep-store"),
     )
     service = ReproService(config).start()

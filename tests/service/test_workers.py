@@ -1,51 +1,36 @@
-"""Tests for the process-isolated worker pool: success, deterministic
-failure, crash retries with backoff, timeouts, cancellation, drain.
+"""The service's local workers: ``serve --workers K`` runs every job on
+the cluster scheduler, whose local worker processes give the service
+its hard guarantees — crash containment, bounded retries, a per-task
+deadline, cancellation and drain.
 
-The pool is exercised with injected spec runners (the ``run_spec``
-seam), so these tests cover the execution machinery without paying for
-real simulations.
+Every job here is a cheap real cell spec; misbehaviour comes from
+``worker.child`` fault plans, which the parent decides per lease and the
+child applies before running it.
 """
 
-import os
 import time
 
 import pytest
 
+from repro.faults import install, reset
+from repro.faults.plan import FaultPlan
 from repro.service import jobs as jobstates
-from repro.service.jobs import JobQueue
-from repro.service.workers import WorkerPool
+from repro.service.api import execute_spec, normalise_spec, result_key
+from repro.service.server import ReproService, ServiceConfig
 
 
-# Spec runners executed in child processes --------------------------------
-def _ok_runner(spec, progress):
-    progress(1, 2)
-    progress(2, 2)
-    return {"echo": spec.get("tag", "")}
+def _spec(size_kb=1, workload="go"):
+    return normalise_spec(
+        {
+            "type": "cell",
+            "workload": workload,
+            "input_name": "test",
+            "size_bytes": size_kb * 1024,
+        }
+    )
 
 
-def _error_runner(spec, progress):
-    raise ValueError("deterministic failure")
-
-
-def _crashy_runner(spec, progress):
-    """Simulates a crashing worker: hard-exits until the attempt file
-    says the configured number of crashes has happened."""
-    path = spec["counter"]
-    attempt = int(open(path).read()) if os.path.exists(path) else 0
-    with open(path, "w") as handle:
-        handle.write(str(attempt + 1))
-    if attempt < spec["crashes"]:
-        os._exit(3)
-    return {"survived_after": attempt}
-
-
-def _sleepy_runner(spec, progress):
-    progress(0, 1)
-    time.sleep(spec.get("seconds", 30))
-    return {"woke": True}
-
-
-def _wait_for(predicate, timeout=10.0, interval=0.01):
+def _wait_for(predicate, timeout=30.0, interval=0.01):
     deadline = time.monotonic() + timeout
     while not predicate():
         if time.monotonic() > deadline:
@@ -54,169 +39,172 @@ def _wait_for(predicate, timeout=10.0, interval=0.01):
 
 
 @pytest.fixture()
-def queue():
-    return JobQueue()
+def make_service(tmp_path):
+    services = []
+
+    def make(plan=None, **overrides):
+        if plan is not None:
+            install(FaultPlan.parse(plan))
+        config = ServiceConfig(
+            port=0, workers=1, store_dir=tmp_path / "results", **overrides
+        )
+        service = ReproService(config).start()
+        services.append(service)
+        return service
+
+    yield make
+    for service in services:
+        service.stop(drain=False)
+    reset()
 
 
-def _run_pool(queue, runner, **kwargs):
-    pool = WorkerPool(queue, run_spec=runner, workers=1, **kwargs)
-    pool.start()
-    return pool
+def _submit(service, spec):
+    job, _ = service.jobs.submit(spec, result_key(spec))
+    return job
+
+
+def _counter(service, name):
+    return service.metrics()["metrics"][name]["value"]
+
+
+def _child_pid(service):
+    process = service.local_workers[0].process
+    return None if process is None else process.pid
 
 
 class TestExecution:
-    def test_success_delivers_payload_and_progress(self, queue):
-        pool = _run_pool(queue, _ok_runner)
-        try:
-            job, _ = queue.submit({"tag": "hello"}, "k1")
-            _wait_for(lambda: job.state == jobstates.DONE)
-            assert job.payload == {"echo": "hello"}
-            assert job.progress == (2, 2)
-            assert job.attempts == 1
-        finally:
-            pool.stop(drain=False)
+    def test_success_delivers_payload_and_progress(self, make_service):
+        service = make_service()
+        spec = _spec()
+        job = _submit(service, spec)
+        _wait_for(lambda: job.state == jobstates.DONE)
+        assert job.payload == execute_spec(spec)
+        assert job.progress == (1, 1)
+        assert job.attempts == 1
+        assert job.stored is True
+        assert service.store.contains(job.result_key)
+        # The task was forgotten once its job returned.
+        assert service.cluster._tasks == {}
 
-    def test_on_done_hook_records_admission(self, queue):
-        seen = {}
+    def test_on_done_hook_records_admission(self, make_service):
+        # A job's ``stored`` is the result store's admission verdict on
+        # its payload; a rejected payload still reaches the job.
+        service = make_service(store_capacity=1)
+        first = _submit(service, _spec())
+        _wait_for(lambda: first.state == jobstates.DONE)
+        second = _submit(service, _spec(size_kb=2))
+        _wait_for(lambda: second.state == jobstates.DONE)
+        assert first.stored is True
+        assert second.stored is False
+        assert second.payload == execute_spec(_spec(size_kb=2))
+        assert not service.store.contains(second.result_key)
 
-        def on_done(job, payload):
-            seen["payload"] = payload
-            return False  # pretend the store rejected it
-
-        pool = WorkerPool(
-            queue, run_spec=_ok_runner, workers=1, on_done=on_done
-        ).start()
-        try:
-            job, _ = queue.submit({"tag": "x"}, "k")
-            _wait_for(lambda: job.state == jobstates.DONE)
-            assert seen["payload"] == {"echo": "x"}
-            assert job.stored is False
-        finally:
-            pool.stop(drain=False)
-
-    def test_exception_fails_without_retry(self, queue):
-        pool = _run_pool(queue, _error_runner)
-        try:
-            job, _ = queue.submit({}, "k")
-            _wait_for(lambda: job.state == jobstates.FAILED)
-            assert "ValueError: deterministic failure" in job.error
-            assert job.attempts == 1
-            assert queue.stats()["retries"] == 0
-        finally:
-            pool.stop(drain=False)
+    def test_exception_fails_without_retry(self, make_service):
+        service = make_service("worker.child:raise@1")
+        job = _submit(service, _spec())
+        _wait_for(lambda: job.state == jobstates.FAILED)
+        assert job.error.startswith("FaultInjected: injected fault")
+        assert job.attempts == 1
+        assert _counter(service, "cluster_leases_reissued_total") == 0
+        assert service.jobs.stats()["retries"] == 0
+        # A failed task is forgotten: the same spec runs again.
+        again = _submit(service, _spec())
+        _wait_for(lambda: again.state == jobstates.DONE)
 
 
 class TestCrashes:
-    def test_crash_retries_then_succeeds(self, queue, tmp_path):
-        pool = _run_pool(queue, _crashy_runner, retry_backoff=0.01)
-        try:
-            spec = {"counter": str(tmp_path / "attempts"), "crashes": 2}
-            job, _ = queue.submit(spec, "k")
-            _wait_for(lambda: job.state == jobstates.DONE)
-            assert job.payload == {"survived_after": 2}
-            assert job.attempts == 3
-            assert queue.stats()["retries"] == 2
-        finally:
-            pool.stop(drain=False)
+    def test_crash_retries_then_succeeds(self, make_service):
+        service = make_service("worker.child:crash@1-2")
+        job = _submit(service, _spec())
+        _wait_for(lambda: job.state == jobstates.DONE)
+        assert job.payload == execute_spec(_spec())
+        assert job.attempts == 3
+        assert _counter(service, "cluster_leases_reissued_total") == 2
+        assert service.jobs.stats()["retries"] == 2
 
-    def test_crash_budget_exhausted_fails(self, queue, tmp_path):
-        pool = _run_pool(
-            queue, _crashy_runner, max_retries=1, retry_backoff=0.01
-        )
-        try:
-            spec = {"counter": str(tmp_path / "attempts"), "crashes": 99}
-            job, _ = queue.submit(spec, "k")
-            _wait_for(lambda: job.state == jobstates.FAILED)
-            assert "exit code 3" in job.error
-            assert "gave up after 2 attempts" in job.error
-        finally:
-            pool.stop(drain=False)
-
-    def test_backoff_time_is_bounded_by_the_job_timeout(
-        self, queue, tmp_path
-    ):
-        # Generous attempt count but a bounded budget: cumulative backoff
-        # may not exceed the job's own timeout, so the pool gives up on
-        # the crash-looping job long before 50 retries.  The timeout is
-        # kept large relative to child-spawn latency so no single
-        # (instantly crashing) attempt can itself hit the deadline.
-        pool = _run_pool(
-            queue,
-            _crashy_runner,
-            max_retries=50,
-            retry_backoff=2.5,
-            job_timeout=3.0,
-        )
-        try:
-            spec = {"counter": str(tmp_path / "attempts"), "crashes": 99}
-            job, _ = queue.submit(spec, "k")
-            _wait_for(lambda: job.state == jobstates.FAILED, timeout=30.0)
-            assert "retry budget" in job.error
-            # 2.5s + 0.5s exhausts the 3.0s budget: attempt 3 fails.
-            assert job.attempts == 3
-        finally:
-            pool.stop(drain=False)
+    def test_crash_budget_exhausted_fails(self, make_service):
+        service = make_service("worker.child:crash@every=1", max_retries=1)
+        job = _submit(service, _spec())
+        _wait_for(lambda: job.state == jobstates.FAILED)
+        assert "exit code 70" in job.error
+        assert "gave up after 2 attempts" in job.error
+        assert job.attempts == 2
 
 
 class TestInjectedFaults:
-    def test_injected_child_crash_is_retried_transparently(self, queue):
-        from repro.faults import install, reset
-        from repro.faults.plan import FaultPlan
-
-        install(FaultPlan.parse("worker.child:crash@1"))
-        try:
-            pool = _run_pool(queue, _ok_runner, retry_backoff=0.01)
-            try:
-                job, _ = queue.submit({"tag": "x"}, "k")
-                _wait_for(lambda: job.state == jobstates.DONE)
-                assert job.payload == {"echo": "x"}
-                assert job.attempts == 2
-                assert queue.stats()["retries"] == 1
-            finally:
-                pool.stop(drain=False)
-        finally:
-            reset()
+    def test_injected_child_crash_is_retried_transparently(
+        self, make_service
+    ):
+        service = make_service("worker.child:crash@1")
+        _wait_for(lambda: service.local_workers[0].worker_id is not None)
+        crashed_pid = _child_pid(service)
+        job = _submit(service, _spec())
+        _wait_for(lambda: job.state == jobstates.DONE)
+        assert job.payload == execute_spec(_spec())
+        assert job.attempts == 2
+        # The child died, was declared lost at once (its pipe closed)
+        # and a fresh child took the re-issued lease.
+        assert _child_pid(service) != crashed_pid
+        assert _counter(service, "cluster_workers_lost_total") == 1
+        assert _counter(service, "cluster_leases_reissued_total") == 1
+        assert service.jobs.stats()["retries"] == 1
 
 
 class TestTimeoutsAndCancellation:
-    def test_timeout_kills_and_fails(self, queue):
-        pool = _run_pool(queue, _sleepy_runner, job_timeout=0.3)
-        try:
-            job, _ = queue.submit({"seconds": 30}, "k")
-            _wait_for(lambda: job.state == jobstates.FAILED)
-            assert "timed out" in job.error
-        finally:
-            pool.stop(drain=False)
+    def test_timeout_kills_and_fails(self, make_service):
+        # One attempt allowed: the hung child is killed at the deadline
+        # and the task fails with the timeout as its last cause.
+        service = make_service(
+            "worker.child:hang@every=1", job_timeout=0.5, max_retries=0
+        )
+        job = _submit(service, _spec())
+        _wait_for(lambda: job.state == jobstates.FAILED)
+        assert job.error == "timed out after 0.5s (gave up after 1 attempts)"
 
-    def test_cancel_running_job(self, queue):
-        pool = _run_pool(queue, _sleepy_runner)
-        try:
-            job, _ = queue.submit({"seconds": 30}, "k")
-            _wait_for(lambda: job.state == jobstates.RUNNING)
-            _wait_for(lambda: job.progress == (0, 1))  # child really up
-            queue.cancel(job.id)
-            _wait_for(lambda: job.state == jobstates.CANCELLED)
-            assert queue.stats()["cancelled"] == 1
-        finally:
-            pool.stop(drain=False)
+    def test_hang_is_killed_at_the_deadline_and_reissued(self, make_service):
+        service = make_service("worker.child:hang@1", job_timeout=1.0)
+        _wait_for(lambda: service.local_workers[0].worker_id is not None)
+        hung_pid = _child_pid(service)
+        job = _submit(service, _spec())
+        _wait_for(lambda: job.state == jobstates.DONE)
+        assert job.attempts == 2
+        assert _child_pid(service) != hung_pid
+        assert _counter(service, "cluster_leases_expired_total") == 1
+
+    def test_cancel_running_job(self, make_service):
+        service = make_service("worker.child:hang@1")
+        job = _submit(service, _spec())
+        _wait_for(lambda: service.cluster.workers_view()["leased_cells"] == 1)
+        hung_pid = _child_pid(service)
+        service.jobs.cancel(job.id)
+        _wait_for(lambda: job.state == jobstates.CANCELLED)
+        assert service.jobs.stats()["cancelled"] == 1
+        # The withdrawn task's child was killed, so the worker is free
+        # for the next job at once.
+        _wait_for(lambda: _child_pid(service) != hung_pid)
+        following = _submit(service, _spec(size_kb=2))
+        _wait_for(lambda: following.state == jobstates.DONE)
+        assert following.attempts == 1
 
 
 class TestDrain:
-    def test_drain_finishes_queued_work(self, queue):
-        pool = _run_pool(queue, _ok_runner)
-        submitted = [queue.submit({"tag": str(i)}, f"k{i}")[0] for i in range(4)]
-        pool.stop(drain=True)
+    def test_drain_finishes_queued_work(self, make_service):
+        service = make_service()
+        submitted = [_submit(service, _spec(size_kb=k)) for k in (1, 2, 4)]
+        service.stop(drain=True)
         for job in submitted:
             assert job.state == jobstates.DONE
 
-    def test_stop_without_drain_cancels_queue(self, queue):
-        # Workers never start, so everything is still queued.
-        pool = WorkerPool(queue, run_spec=_ok_runner, workers=1)
-        submitted = [queue.submit({}, f"k{i}")[0] for i in range(3)]
-        pool.stop(drain=False)
+    def test_stop_without_drain_cancels_queue(self, make_service):
+        service = make_service("worker.child:hang@1")
+        submitted = [_submit(service, _spec(size_kb=k)) for k in (1, 2, 4)]
+        _wait_for(lambda: service.jobs.running_count() == 1)
+        service.stop(drain=False)
         for job in submitted:
             assert job.state == jobstates.CANCELLED
 
-    def test_rejects_zero_workers(self, queue):
+    def test_rejects_zero_workers(self, tmp_path):
         with pytest.raises(ValueError):
-            WorkerPool(queue, run_spec=_ok_runner, workers=0)
+            ReproService(
+                ServiceConfig(port=0, workers=0, store_dir=tmp_path)
+            )
