@@ -20,9 +20,9 @@ Quickstart::
     encoder = FrequentValueEncoder.for_top_values(profile.top_values(7), 3)
 
     geometry = CacheGeometry(size_bytes=16 * 1024, line_bytes=32)
-    baseline = DirectMappedCache(geometry).simulate(trace.records)
+    baseline = DirectMappedCache(geometry).simulate(trace)
     system = FvcSystem(geometry, fvc_entries=512, encoder=encoder)
-    augmented = system.simulate(trace.records)
+    augmented = system.simulate(trace)
     print(baseline.miss_rate, augmented.miss_rate)
 """
 

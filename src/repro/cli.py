@@ -399,7 +399,7 @@ def _cmd_reuse(args: argparse.Namespace) -> int:
     )
 
     trace = shared_store.get(args.workload, args.input)
-    profile = reuse_distance_profile(trace.records, line_bytes=args.line)
+    profile = reuse_distance_profile(trace, line_bytes=args.line)
     print(
         f"{args.workload}/{args.input}: {profile.total_accesses:,} accesses, "
         f"{profile.cold_accesses:,} cold"

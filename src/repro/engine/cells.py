@@ -131,7 +131,7 @@ def run_cell(cell: SimCell, store=None) -> CellResult:
         started = time.perf_counter()
         trace = store.get(cell.workload, cell.input_name)
         result = _simulate(cell, trace)
-        _record_cell_metrics(len(trace.records), time.perf_counter() - started)
+        _record_cell_metrics(len(trace), time.perf_counter() - started)
     return result
 
 

@@ -137,7 +137,7 @@ class AblationDynamic(Experiment):
             dynamic = DynamicFvcSystem(
                 _GEOMETRY, 512, code_bits=3, warmup_accesses=warmup
             )
-            dynamic_stats = dynamic.simulate(trace.records)
+            dynamic_stats = dynamic.simulate(trace)
             overlap = len(
                 set(dynamic.frequent_values)
                 & set(profiled_system.encoder.values)

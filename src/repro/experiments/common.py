@@ -47,30 +47,11 @@ def access_profile(trace: Trace) -> AccessProfile:
     The memo lives on the trace itself (:meth:`repro.trace.trace.Trace
     .memo`), so it shares the trace's lifetime and invalidation — an
     external ``id()``-keyed table could serve another trace's profile
-    once ids are recycled.
-    """
-    return trace.memo("access_profile", _profile)
-
-
-def _profile(trace: Trace) -> AccessProfile:
-    """Build the profile via whichever backend is active.
-
-    Both paths rank by ``(-count, value)`` over identical counts, so the
-    resulting profiles — and every encoder derived from them — are equal
+    once ids are recycled.  The profile ranks by ``(-count, value)`` on
+    either backend, so every encoder derived from it is equal
     object-for-object regardless of backend.
     """
-    if dispatch.kernels_active():
-        from repro.kernels.columnar import KernelUnsupported, ranked_value_counts
-
-        try:
-            total, distinct, ranked = ranked_value_counts(trace, depth=32)
-        except KernelUnsupported:
-            pass
-        else:
-            return AccessProfile(
-                total_accesses=total, distinct_values=distinct, ranked=ranked
-            )
-    return profile_accessed_values(trace)
+    return trace.memo("access_profile", profile_accessed_values)
 
 
 def encoder_for(trace: Trace, top_values: int) -> FrequentValueEncoder:
@@ -103,10 +84,10 @@ def baseline_stats(trace: Trace, geometry: CacheGeometry) -> CacheStats:
         cache = DirectMappedCache(geometry)
     else:
         cache = SetAssociativeCache(geometry)
-    stats = cache.simulate_batch(trace.records)
+    stats = cache.simulate_batch(trace)
     if sanitize.enabled():
         _checked(
-            "baseline", trace, sanitize.check_baseline, cache, len(trace.records)
+            "baseline", trace, sanitize.check_baseline, cache, len(trace)
         )
     return stats
 
@@ -117,14 +98,14 @@ def classify_replay(trace: Trace, geometry: CacheGeometry) -> MissClassification
     classes = dispatch.try_classify(trace, geometry)
     if classes is not None:
         return classes
-    classes = classify_misses(trace.records, geometry)
+    classes = classify_misses(trace, geometry)
     if sanitize.enabled():
         _checked(
             "classify",
             trace,
             sanitize.check_access_count,
             classes.accesses,
-            len(trace.records),
+            len(trace),
         )
     return classes
 
@@ -146,14 +127,14 @@ def fvc_replay(
         config=sanitize.sanitized_fvc_config() if sanitizing else None,
     )
     audit = sanitize.attach_fvc_system(system) if sanitizing else None
-    stats = system.simulate_batch(trace.records)
+    stats = system.simulate_batch(trace)
     if sanitizing:
         _checked(
             "fvc",
             trace,
             sanitize.check_fvc_system,
             system,
-            len(trace.records),
+            len(trace),
             audit,
         )
     return stats, {
@@ -176,7 +157,7 @@ def fvc_stats(
     system = FvcSystem(
         geometry, fvc_entries, encoder_for(trace, top_values), config=config
     )
-    stats = system.simulate_batch(trace.records)
+    stats = system.simulate_batch(trace)
     return stats, system
 
 

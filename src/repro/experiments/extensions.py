@@ -63,8 +63,8 @@ class ExtWriteThroughTraffic(Experiment):
         rows = []
         for name in FVL_NAMES:
             trace = store.get(name, input_name)
-            write_back = DirectMappedCache(_GEOMETRY).simulate(trace.records)
-            write_through = WriteThroughCache(_GEOMETRY).simulate(trace.records)
+            write_back = DirectMappedCache(_GEOMETRY).simulate(trace)
+            write_through = WriteThroughCache(_GEOMETRY).simulate(trace)
             rows.append(
                 {
                     "benchmark": name,
@@ -162,7 +162,7 @@ class ExtCrossInput(Experiment):
                 access_profile(profile_trace).top_values(7), 3
             )
             cross_system = FvcSystem(_GEOMETRY, 512, cross_encoder)
-            cross_stats = cross_system.simulate(trace.records)
+            cross_stats = cross_system.simulate(trace)
             self_red = reduction_percent(base, self_stats)
             cross_red = reduction_percent(base, cross_stats)
             rows.append(
@@ -210,7 +210,7 @@ class ExtFvcAssociativity(Experiment):
                 system = FvcSystem(
                     _GEOMETRY, 512, encoder_for(trace, 7), fvc_ways=ways
                 )
-                stats = system.simulate(trace.records)
+                stats = system.simulate(trace)
                 row[f"red_{label}_%"] = round(reduction_percent(base, stats), 1)
             rows.append(row)
         return self._result(headers, rows)
@@ -242,12 +242,12 @@ class ExtHybrid(Experiment):
             trace = store.get(name, input_name)
             base = baseline_stats(trace, geometry)
             encoder = encoder_for(trace, 7)
-            fvc_only = FvcSystem(geometry, 256, encoder).simulate(trace.records)
-            vc_only = VictimCacheSystem(geometry, 8).simulate(trace.records)
+            fvc_only = FvcSystem(geometry, 256, encoder).simulate(trace)
+            vc_only = VictimCacheSystem(geometry, 8).simulate(trace)
             hybrid = HybridFvcVictimSystem(
                 geometry, 256, 8, encoder
             )
-            hybrid_stats = hybrid.simulate(trace.records)
+            hybrid_stats = hybrid.simulate(trace)
             routed = hybrid.routed_to_fvc + hybrid.routed_to_victim
             rows.append(
                 {
@@ -302,7 +302,7 @@ class ExtCompressionCache(Experiment):
             base = baseline_stats(trace, geometry)
             fvc = fvc_miss_stats(trace, geometry, 256, top_values=7)
             compressed = CompressedCache(geometry, encoder_for(trace, 7))
-            compressed_stats = compressed.simulate(trace.records)
+            compressed_stats = compressed.simulate(trace)
             rows.append(
                 {
                     "benchmark": name,
@@ -352,9 +352,9 @@ class ExtHierarchy(Experiment):
             trace = store.get(name, input_name)
             plain = TwoLevelSystem(l1, l2)
             if not try_hierarchy_replay(plain, trace):
-                plain.simulate(trace.records)
+                plain.simulate(trace)
             fvc = TwoLevelFvcSystem(l1, l2, 512, encoder_for(trace, 7))
-            fvc.simulate(trace.records)
+            fvc.simulate(trace)
             saved = 0.0
             if plain.l2_stats.accesses:
                 saved = 100 * (

@@ -9,15 +9,41 @@ a value-centric cache.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import FVL_NAMES, access_profile, input_for
+from repro.kernels import dispatch
 from repro.profiling.occurrence import profile_occurring_values
 from repro.workloads.registry import get_workload
+from repro.trace.trace import Trace
 from repro.workloads.store import TraceStore
+
+
+def attribute_misses(
+    trace: Trace, geometry: CacheGeometry, value_sets: Sequence[Set[int]]
+) -> Tuple[int, Tuple[int, ...]]:
+    """The direct-mapped cache's misses over ``trace``, and how many of
+    them carry a value of each set — through the kernel
+    (:func:`repro.kernels.values.miss_attribution`) when it accepts the
+    cache, else the oracle replay here."""
+    attributed = dispatch.try_miss_attribution(trace, geometry, value_sets)
+    if attributed is not None:
+        return attributed
+    cache = DirectMappedCache(geometry)
+    access = cache.access
+    misses = 0
+    counts = [0] * len(value_sets)
+    for op, address, value in trace:
+        if access(op, address):
+            continue
+        misses += 1
+        for index, wanted in enumerate(value_sets):
+            if value in wanted:
+                counts[index] += 1
+    return misses, tuple(counts)
 
 
 class Fig04MissAttribution(Experiment):
@@ -49,20 +75,13 @@ class Fig04MissAttribution(Experiment):
                 sample_interval=10_000 if fast else 40_000,
             )
             occurring = set(occurrence.top_values(10))
-            cache = DirectMappedCache(geometry)
-            misses = miss_accessed = miss_occurring = 0
-            for op, address, value in trace.records:
-                if cache.access(op, address):
-                    continue
-                misses += 1
-                if value in accessed:
-                    miss_accessed += 1
-                if value in occurring:
-                    miss_occurring += 1
+            misses, (miss_accessed, miss_occurring) = attribute_misses(
+                trace, geometry, (accessed, occurring)
+            )
             rows.append(
                 {
                     "benchmark": name,
-                    "miss_rate_%": round(100 * misses / len(trace.records), 3),
+                    "miss_rate_%": round(100 * misses / len(trace), 3),
                     "miss_top10_accessed_%": round(
                         100 * miss_accessed / misses, 1
                     ) if misses else 0.0,

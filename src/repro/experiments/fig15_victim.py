@@ -62,7 +62,7 @@ class Fig15Victim(Experiment):
             }
             for label, victim_entries in (("vc16", 16), ("vc4", 4)):
                 system = VictimCacheSystem(geometry, victim_entries)
-                stats = system.simulate(trace.records)
+                stats = system.simulate(trace)
                 row[f"{label}_red_%"] = round(reduction_percent(base, stats), 1)
             for label, entries in (("fvc128", 128), ("fvc512", 512)):
                 stats = fvc_miss_stats(trace, geometry, entries, top_values=7)

@@ -3,7 +3,8 @@
 Every vectorized kernel — and the profiler — works from the same
 derived arrays instead of re-walking the record tuples per model:
 
-* :func:`trace_columns` — the raw ``op``/``address``/``value`` columns;
+* :func:`trace_columns` — the raw ``op``/``address``/``value`` columns
+  (a decoded trace's packed bytes, wrapped without a copy);
 * :func:`word_layer` — per-word previous-store values and the
   value-consistency flag the FVC kernel's hit predicate relies on;
 * :func:`line_index` — per ``line_shift``: line ids, the line-grouped
@@ -15,8 +16,9 @@ derived arrays instead of re-walking the record tuples per model:
 * :func:`set_order` — per ``(line_shift, num_sets)``: the stable
   set-grouped order, its run-length structure and the alternation
   breaks used to bound FVC hit batches;
-* :func:`ranked_value_counts` — the access-value ranking (Fig. 1)
-  straight from the columns.
+* :func:`value_ranking` — per-value counts, first accesses and the
+  (-count, value) ranking that :func:`ranked_value_counts` (Fig. 1, every
+  encoder) and the §2 studies of :mod:`repro.kernels.values` share.
 
 All entries live on ``trace.memo`` so cells sharing a geometry (or just
 a line size) pay for each decomposition once; ``Trace.append``/
@@ -45,7 +47,7 @@ simulators, not re-derived here):
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.kernels.backend import numpy_or_none
 from repro.trace.trace import Trace
@@ -73,21 +75,22 @@ def require_numpy():
 
 
 class TraceColumns:
-    """The raw columns plus the bounds checks every kernel needs."""
+    """The raw columns plus the bounds checks every kernel needs.
+
+    A decoded trace's columns are its packed v3 bytes wrapped without a
+    copy (``u8`` ops, ``u32`` addresses and values); a trace built from
+    records gets ``int64`` columns, which may hold values outside the
+    32-bit domain.
+    """
 
     __slots__ = ("n", "ops", "addrs", "values", "nloads", "in_range")
 
-    def __init__(self, np, records: List[Tuple[int, int, int]]) -> None:
-        n = len(records)
-        flat = np.fromiter(
-            (field for record in records for field in record),
-            dtype=np.int64,
-            count=3 * n,
-        ).reshape(n, 3)
+    def __init__(self, ops, addrs, values) -> None:
+        n = len(ops)
         self.n = n
-        self.ops = np.ascontiguousarray(flat[:, 0])
-        self.addrs = np.ascontiguousarray(flat[:, 1])
-        self.values = np.ascontiguousarray(flat[:, 2])
+        self.ops = ops
+        self.addrs = addrs
+        self.values = values
         self.nloads = int((self.ops == 0).sum()) if n else 0
         # The oracle treats op/address/value as unsigned 32-bit-ish
         # domain values; anything outside means a synthetic trace the
@@ -105,10 +108,37 @@ class TraceColumns:
         self.in_range = ok
 
 
+def _columns_of(np, trace: Trace) -> TraceColumns:
+    raw = trace.raw_columns
+    if raw is not None:
+        ops, addrs, values = raw
+        return TraceColumns(
+            np.frombuffer(ops, dtype="<u1"),
+            np.frombuffer(addrs, dtype="<u4"),
+            np.frombuffer(values, dtype="<u4"),
+        )
+    records = trace.records
+    n = len(records)
+    try:
+        flat = np.fromiter(
+            (field for record in records for field in record),
+            dtype=np.int64,
+            count=3 * n,
+        ).reshape(n, 3)
+    except (OverflowError, ValueError):
+        raise KernelUnsupported("records outside the int64 domain") from None
+    return TraceColumns(
+        np.ascontiguousarray(flat[:, 0]),
+        np.ascontiguousarray(flat[:, 1]),
+        np.ascontiguousarray(flat[:, 2]),
+    )
+
+
 def trace_columns(trace: Trace) -> TraceColumns:
-    """Columnar view of ``trace.records`` (memoised)."""
+    """Columnar view of the trace (memoised): its packed columns when
+    it still holds them, else its records."""
     np = require_numpy()
-    return trace.memo("kernel:columns", lambda t: TraceColumns(np, t.records))
+    return trace.memo("kernel:columns", lambda t: _columns_of(np, t))
 
 
 class WordLayer:
@@ -357,17 +387,47 @@ def set_order(trace: Trace, line_shift: int, num_sets: int) -> SetOrder:
     )
 
 
+class ValueRanking:
+    """The distinct values of the value column, ranked.
+
+    ``uniq`` holds them ascending, ``counts`` their access counts,
+    ``first`` the position of each one's first access and ``codes``
+    each record's index into ``uniq``; ``order`` lists the indices by
+    (-count, value) — the ranking every §2 study and every encoder
+    uses.
+    """
+
+    __slots__ = ("uniq", "counts", "first", "codes", "order")
+
+    def __init__(self, np, cols: TraceColumns) -> None:
+        uniq, first, codes, counts = np.unique(
+            cols.values,
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        self.uniq = uniq
+        self.counts = counts
+        self.first = first
+        self.codes = codes
+        self.order = np.lexsort((uniq, -counts))
+
+
+def value_ranking(trace: Trace) -> ValueRanking:
+    """The trace's value ranking (memoised)."""
+    np = require_numpy()
+    return trace.memo(
+        "kernel:ranking", lambda t: ValueRanking(np, trace_columns(t))
+    )
+
+
 def ranked_value_counts(trace: Trace, depth: int):
     """``(total, distinct, ranked)`` matching ``ExactTopK`` semantics:
     ranked ``(value, count)`` pairs sorted by (-count, value), truncated
     to ``depth``, as plain Python ints."""
-    np = require_numpy()
-    cols = trace_columns(trace)
-    if cols.n == 0:
-        return 0, 0, ()
-    uniq, counts = np.unique(cols.values, return_counts=True)
-    order = np.lexsort((uniq, -counts))[:depth]
+    vr = value_ranking(trace)
     ranked = tuple(
-        (int(uniq[i]), int(counts[i])) for i in order.tolist()
+        (int(vr.uniq[i]), int(vr.counts[i]))
+        for i in vr.order[:depth].tolist()
     )
-    return cols.n, len(uniq), ranked
+    return len(vr.codes), len(vr.uniq), ranked

@@ -18,7 +18,7 @@ registry (``kernel_replays_total`` / ``kernel_declines_total`` /
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import Callable, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.cache.classify import MissClassification
 from repro.cache.geometry import CacheGeometry
@@ -26,6 +26,8 @@ from repro.cache.stats import CacheStats
 from repro.fvc.encoding import FrequentValueEncoder
 from repro.kernels.backend import backend_is_numpy
 from repro.trace.trace import Trace
+
+T = TypeVar("T")
 
 
 def kernels_active() -> bool:
@@ -105,6 +107,39 @@ def try_classify(
         return None
     _record("replay", time.perf_counter() - started)
     return classes
+
+
+def try_miss_attribution(
+    trace: Trace, geometry: CacheGeometry, value_sets: Sequence[Set[int]]
+) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """Kernel Fig. 4 attribution — a direct-mapped cache's misses, and
+    how many carry a value of each set — or ``None``."""
+    if not kernels_active():
+        return None
+    from repro.kernels.values import miss_attribution
+
+    started = time.perf_counter()
+    attributed = miss_attribution(trace, geometry, value_sets)
+    if attributed is None:
+        _record("decline")
+        return None
+    _record("replay", time.perf_counter() - started)
+    return attributed
+
+
+def try_study(study: Callable[..., T], trace: Trace, *args) -> Optional[T]:
+    """The column path of a §2 value study (:mod:`repro.kernels.columnar`
+    rankings, :mod:`repro.kernels.values`), or ``None`` when the kernels
+    are off or the study raises :class:`KernelUnsupported`.  Studies
+    are profiles, not replays, so they are not counted."""
+    if not kernels_active():
+        return None
+    from repro.kernels.columnar import KernelUnsupported
+
+    try:
+        return study(trace, *args)
+    except KernelUnsupported:
+        return None
 
 
 def try_hierarchy_replay(system, trace: Trace) -> bool:

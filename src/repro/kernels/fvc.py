@@ -79,7 +79,7 @@ def fvc_cell_replay(
         return None
     if fvc_entries < 1 or fvc_entries & (fvc_entries - 1):
         return None
-    n = len(trace.records)
+    n = len(trace)
     if n == 0:
         return None
     num_sets = geometry.num_sets

@@ -50,10 +50,20 @@ def profile_accessed_values(
 
     ``depth`` bounds how many ranked values are retained; 32 comfortably
     covers every study in the paper (which never looks past the top 10).
+    With the kernels active the ranking comes from the trace's memoised
+    value column ranking; both paths rank by (-count, value).
     """
+    from repro.kernels import columnar, dispatch
+
+    ranked = dispatch.try_study(columnar.ranked_value_counts, trace, depth)
+    if ranked is not None:
+        total, distinct, top = ranked
+        return AccessProfile(
+            total_accesses=total, distinct_values=distinct, ranked=top
+        )
     counter = ExactTopK()
     add = counter.add
-    for _, _, value in trace.records:
+    for _, _, value in trace:
         add(value)
     return AccessProfile(
         total_accesses=counter.total,

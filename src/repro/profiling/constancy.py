@@ -36,11 +36,22 @@ def profile_constancy(trace: Trace) -> ConstancyResult:
     The paper treats each allocation of a reused address separately; the
     trace does not carry allocation events, so reuse with a different
     value counts as mutation here — a strictly conservative
-    approximation (it can only lower the constant fraction).
+    approximation (it can only lower the constant fraction).  With the
+    kernels active the count comes from the address and value columns
+    (:func:`repro.kernels.values.constancy_counts`); the loop here is
+    the oracle.
     """
+    from repro.kernels import dispatch, values
+
+    counted = dispatch.try_study(values.constancy_counts, trace)
+    if counted is not None:
+        referenced, constant = counted
+        return ConstancyResult(
+            referenced_addresses=referenced, constant_addresses=constant
+        )
     first_value: Dict[int, int] = {}
     mutated: set = set()
-    for _, address, value in trace.records:
+    for _, address, value in trace:
         known = first_value.get(address)
         if known is None:
             first_value[address] = value

@@ -9,7 +9,8 @@ the paper's every-10M-instructions sampling.
 
 from __future__ import annotations
 
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -102,6 +103,15 @@ class OccurrenceCollector:
         return len(self._samples)
 
 
+#: Occurrence profiles each process keeps, least recently used first
+#: out: one per SPECint95 analog, so Fig. 1's profiles serve Fig. 4,
+#: Fig. 5 and Table 1 without re-executing the programs.
+_MEMO_PROFILES = 8
+
+_memo: "OrderedDict[tuple, OccurrenceProfile]" = OrderedDict()
+_memo_lock = threading.Lock()
+
+
 def profile_occurring_values(
     workload, input_name: str, sample_interval: int = 50_000, depth: int = 32
 ) -> OccurrenceProfile:
@@ -109,8 +119,18 @@ def profile_occurring_values(
     ``sample_interval`` accesses.
 
     ``workload`` is any object with the
-    :meth:`repro.workloads.base.Workload.execute` signature.
+    :meth:`repro.workloads.base.Workload.execute` signature.  A program
+    run is a pure function of the workload, its input and the interval,
+    so the last :data:`_MEMO_PROFILES` profiles are memoised per
+    process, keyed by the workload's class and name, the input, the
+    interval and the depth.
     """
+    key = (type(workload), workload.name, input_name, sample_interval, depth)
+    with _memo_lock:
+        cached = _memo.get(key)
+        if cached is not None:
+            _memo.move_to_end(key)
+            return cached
     collector = OccurrenceCollector()
     workload.execute(
         input_name,
@@ -118,4 +138,9 @@ def profile_occurring_values(
         sample_interval=sample_interval,
         sampler=collector,
     )
-    return collector.build_profile(depth)
+    profile = collector.build_profile(depth)
+    with _memo_lock:
+        _memo[key] = profile
+        while len(_memo) > _MEMO_PROFILES:
+            _memo.popitem(last=False)
+    return profile

@@ -40,30 +40,32 @@ def profile_stability(
     checkpoints: int = 200,
     membership_window: int = 10,
 ) -> StabilityResult:
-    """Measure when each top-``k`` ranking stabilises over ``trace``."""
+    """Measure when each top-``k`` ranking stabilises over ``trace``.
+
+    With the kernels active the checkpoint rankings come from the value
+    columns (:func:`repro.kernels.values.stability_snapshots`); the
+    loop here is the oracle.
+    """
     if checkpoints <= 0:
         raise ValueError("need at least one checkpoint")
-    records = trace.records
-    if not records:
+    total = len(trace)
+    if not total:
         raise ValueError("cannot measure stability of an empty trace")
     ks = sorted(set(ks))
     deepest = max(max(ks), membership_window)
+    step = max(1, total // checkpoints)
 
-    step = max(1, len(records) // checkpoints)
-    counts: Counter = Counter()
-    # Per-checkpoint ordered prefix of the running ranking.
-    snapshots: List[Tuple[int, ...]] = []
-    positions: List[int] = []
-    for start in range(0, len(records), step):
-        for record in records[start : start + step]:
-            counts[record[2]] += 1
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        snapshots.append(tuple(value for value, _ in ranked[:deepest]))
-        positions.append(min(start + step, len(records)))
+    from repro.kernels import dispatch, values
+
+    snapped = dispatch.try_study(
+        values.stability_snapshots, trace, step, deepest
+    )
+    if snapped is not None:
+        snapshots, positions = snapped
+    else:
+        snapshots, positions = _snapshots(trace.records, step, deepest)
 
     final = snapshots[-1]
-    total = len(records)
-
     order_stable: Dict[int, float] = {}
     membership_stable: Dict[int, float] = {}
     for k in ks:
@@ -93,3 +95,21 @@ def profile_stability(
         order_stable_at=order_stable,
         membership_stable_at=membership_stable,
     )
+
+
+def _snapshots(
+    records: List[Tuple[int, int, int]], step: int, depth: int
+) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    """Per checkpoint (every ``step`` records, and the end): the ordered
+    ``depth``-prefix of the running (-count, value) ranking, and the
+    record count it covers."""
+    counts: Counter = Counter()
+    snapshots: List[Tuple[int, ...]] = []
+    positions: List[int] = []
+    for start in range(0, len(records), step):
+        for record in records[start : start + step]:
+            counts[record[2]] += 1
+        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        snapshots.append(tuple(value for value, _ in ranked[:depth]))
+        positions.append(min(start + step, len(records)))
+    return snapshots, positions

@@ -13,7 +13,7 @@ Combines two measurements at each point of execution:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.profiling.access import profile_accessed_values
 from repro.profiling.occurrence import OccurrenceProfile
@@ -48,7 +48,10 @@ def profile_timeline(
     """Build the Fig. 3 curves, one point per occurrence snapshot.
 
     The value rankings are the full-run rankings (the paper plots the
-    locations/accesses of the *final* top-10 values over time).
+    locations/accesses of the *final* top-10 values over time).  With
+    the kernels active the access counts come from the value columns
+    (:func:`repro.kernels.values.timeline_counts`); the loop here is
+    the oracle.
     """
     access_profile = profile_accessed_values(trace)
     accessed_sets = [set(access_profile.top_values(k)) for k in depths]
@@ -56,21 +59,20 @@ def profile_timeline(
 
     checkpoints = sorted(s.access_count for s in occurrence.samples)
     by_count = {s.access_count: s for s in occurrence.samples}
+    limits = [min(checkpoint, len(trace)) for checkpoint in checkpoints]
+
+    from repro.kernels import dispatch, values
+
+    counts = dispatch.try_study(
+        values.timeline_counts, trace, accessed_sets, limits
+    )
+    if counts is None:
+        counts = _access_counts(trace.records, accessed_sets, limits)
 
     points: List[TimelinePoint] = []
-    records = trace.records
-    position = 0
-    covered = [0] * len(depths)
-    seen_values: set = set()
-    for checkpoint in checkpoints:
-        limit = min(checkpoint, len(records))
-        while position < limit:
-            value = records[position][2]
-            seen_values.add(value)
-            for index, wanted in enumerate(accessed_sets):
-                if value in wanted:
-                    covered[index] += 1
-            position += 1
+    for checkpoint, limit, (covered, distinct) in zip(
+        checkpoints, limits, counts
+    ):
         sample = by_count[checkpoint]
         covered_locations = tuple(
             sum(sample.counts.get(v, 0) for v in wanted)
@@ -79,12 +81,36 @@ def profile_timeline(
         points.append(
             TimelinePoint(
                 access_count=checkpoint,
-                cumulative_accesses=position,
-                covered_accesses=tuple(covered),  # type: ignore[arg-type]
-                distinct_values_accessed=len(seen_values),
+                cumulative_accesses=limit,
+                covered_accesses=covered,  # type: ignore[arg-type]
+                distinct_values_accessed=distinct,
                 live_locations=sample.live_locations,
                 covered_locations=covered_locations,  # type: ignore[arg-type]
                 distinct_values_in_memory=len(sample.counts),
             )
         )
     return points
+
+
+def _access_counts(
+    records: List[Tuple[int, int, int]],
+    value_sets: Sequence[Set[int]],
+    limits: Sequence[int],
+) -> List[Tuple[Tuple[int, ...], int]]:
+    """For each prefix length in ``limits`` (non-decreasing): the
+    records in the prefix carrying a value of each set, and the
+    distinct values it carries."""
+    counts = []
+    position = 0
+    covered = [0] * len(value_sets)
+    seen_values: set = set()
+    for limit in limits:
+        while position < limit:
+            value = records[position][2]
+            seen_values.add(value)
+            for index, wanted in enumerate(value_sets):
+                if value in wanted:
+                    covered[index] += 1
+            position += 1
+        counts.append((tuple(covered), len(seen_values)))
+    return counts

@@ -14,12 +14,12 @@ def _derived(trace: Trace, records: List) -> Trace:
 
 def filter_loads(trace: Trace) -> Trace:
     """A new trace holding only the load records."""
-    return _derived(trace, [r for r in trace.records if r[0] == LOAD])
+    return _derived(trace, [r for r in trace if r[0] == LOAD])
 
 
 def filter_stores(trace: Trace) -> Trace:
     """A new trace holding only the store records."""
-    return _derived(trace, [r for r in trace.records if r[0] == STORE])
+    return _derived(trace, [r for r in trace if r[0] == STORE])
 
 
 def filter_address_range(trace: Trace, low: int, high: int) -> Trace:
@@ -27,7 +27,7 @@ def filter_address_range(trace: Trace, low: int, high: int) -> Trace:
     if low > high:
         raise ValueError(f"empty address range [{low:#x}, {high:#x})")
     return _derived(
-        trace, [r for r in trace.records if low <= r[1] < high]
+        trace, [r for r in trace if low <= r[1] < high]
     )
 
 

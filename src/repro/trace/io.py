@@ -27,9 +27,9 @@ offset contents
 ====== ==========================================================
 
 Checksums are per column so corruption reports name the damaged
-section.  Readers and writers use numpy when it is importable and fall
-back to the stdlib ``array``/``struct`` modules otherwise — the format
-carries no numpy dependency.  Files ending in ``.gz`` are
+section.  The writer uses numpy when it is importable and falls back
+to the stdlib ``struct`` module otherwise; the reader needs neither —
+the format carries no numpy dependency.  Files ending in ``.gz`` are
 gzip-compressed transparently.
 
 Files in the retired row formats (versions 1 and 2) are rejected with a
@@ -47,7 +47,7 @@ import zlib
 from typing import BinaryIO, Tuple, Union
 
 from repro.common.errors import TraceFormatError
-from repro.trace.trace import Trace
+from repro.trace.trace import Trace, u32_column
 
 _MAGIC = b"FVTC"
 _VERSION = 3
@@ -81,6 +81,9 @@ def columnar_layout(
 
 def _column_bytes(trace: Trace) -> Tuple[bytes, bytes, bytes]:
     """The three packed column byte strings for ``trace``."""
+    columns = trace.raw_columns
+    if columns is not None:
+        return columns
     records = trace.records
     count = len(records)
     numpy = None
@@ -141,7 +144,7 @@ def trace_to_bytes(trace: Trace) -> bytes:
     input_name = trace.input_name.encode("utf-8")
     if len(workload) > 0xFFFF or len(input_name) > 0xFFFF:
         raise TraceFormatError("trace metadata names too long to serialise")
-    count = len(trace.records)
+    count = len(trace)
     ops, addrs, values = _column_bytes(trace)
     ops_offset, addrs_offset, values_offset, total = columnar_layout(
         count, len(workload), len(input_name)
@@ -178,37 +181,17 @@ def write_trace(trace: Trace, path: PathLike) -> None:
         stream.write(data)
 
 
-def _records_from_columns(
-    ops: bytes, addrs: bytes, values: bytes, count: int
-):
-    """Rebuild ``(op, address, value)`` tuples from packed columns."""
-    numpy = None
+def _keep_columns() -> bool:
+    """Whether a decoded trace should keep its columns: only the
+    vectorized kernels read them, so with the kernels off (the python
+    backend, the sanitizer, no numpy) the decode stays eager."""
+    from repro.common.errors import ConfigurationError
+    from repro.kernels.dispatch import kernels_active
+
     try:
-        import numpy
-    except ImportError:
-        pass
-    if numpy is not None:
-        return list(
-            zip(
-                numpy.frombuffer(ops, dtype="<u1").tolist(),
-                numpy.frombuffer(addrs, dtype="<u4").tolist(),
-                numpy.frombuffer(values, dtype="<u4").tolist(),
-            )
-        )
-    from array import array
-
-    def _u32_list(data: bytes):
-        typed = array("I")
-        if typed.itemsize == 4:
-            typed.frombytes(data)
-            import sys
-
-            if sys.byteorder == "big":
-                typed.byteswap()
-            return typed.tolist()
-        return list(struct.unpack(f"<{count}I", data))
-
-    return list(zip(ops, _u32_list(addrs), _u32_list(values)))
+        return kernels_active()
+    except ConfigurationError:
+        return False
 
 
 def _header_fields(data: bytes, source: str) -> tuple:
@@ -249,7 +232,12 @@ def trace_header_from_bytes(
 
 
 def trace_from_bytes(data: bytes, source: str = "trace") -> Trace:
-    """Materialise a trace from in-memory bytes."""
+    """Materialise a trace from in-memory bytes.
+
+    The trace keeps the three checksummed columns (see
+    :class:`~repro.trace.trace.Trace`) while the vectorized kernels are
+    active, and builds its record list at once otherwise.
+    """
     (
         _magic,
         _version,
@@ -284,8 +272,15 @@ def trace_from_bytes(data: bytes, source: str = "trace") -> Trace:
             raise TraceFormatError(
                 f"{source}: {label} column checksum mismatch"
             )
+    if _keep_columns():
+        return Trace(
+            workload=workload,
+            input_name=input_name,
+            instruction_count=instructions,
+            columns=(ops, addrs, values),
+        )
     return Trace(
-        _records_from_columns(ops, addrs, values, count),
+        list(zip(ops, u32_column(addrs), u32_column(values))),
         workload=workload,
         input_name=input_name,
         instruction_count=instructions,

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.mem.memory import LOAD
 from repro.trace.trace import Trace
 
 
@@ -56,22 +54,24 @@ class TraceStats:
 
 
 def compute_stats(trace: Trace, top_k: int = 10) -> TraceStats:
-    """Compute :class:`TraceStats` in a single pass over ``trace``."""
-    loads = 0
-    addresses = set()
-    value_counts: Counter = Counter()
-    for op, address, value in trace.records:
-        if op == LOAD:
-            loads += 1
-        addresses.add(address)
-        value_counts[value] += 1
-    top: List[Tuple[int, int]] = value_counts.most_common(top_k)
+    """Compute :class:`TraceStats` for ``trace``.
+
+    The top values are the access profile's
+    (:func:`repro.profiling.access.profile_accessed_values`): ranked by
+    (-count, value), so tied values list in the order the studies and
+    the encoders use.
+    """
+    from repro.profiling.access import profile_accessed_values
+
+    profile = profile_accessed_values(trace, depth=top_k)
+    loads = trace.load_count
+    footprint = trace.footprint_words()
     return TraceStats(
-        accesses=len(trace.records),
+        accesses=len(trace),
         loads=loads,
-        stores=len(trace.records) - loads,
-        footprint_words=len(addresses),
-        footprint_bytes=len(addresses) * 4,
-        distinct_values=len(value_counts),
-        top_values=tuple(top),
+        stores=len(trace) - loads,
+        footprint_words=footprint,
+        footprint_bytes=footprint * 4,
+        distinct_values=profile.distinct_values,
+        top_values=profile.ranked,
     )

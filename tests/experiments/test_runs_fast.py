@@ -128,11 +128,31 @@ class TestShapes:
             assert row["test_top7"].endswith("/7")
             assert row["train_top10"].endswith("/10")
 
+    def test_table2_test_input_keeps_the_train_top_values(self, results):
+        # The frequent value set carries across inputs: the test input
+        # keeps at least 4 of the train top-7 and 7 of the top-10 for
+        # every FVL program (goldens: 4-7 and 7-10; EXPERIMENTS.md).
+        rows = {row["benchmark"]: row for row in results["table2"].rows}
+        assert set(rows) == set(FVL_NAMES)
+        for row in rows.values():
+            assert int(row["test_top7"].split("/")[0]) >= 4
+            assert int(row["test_top10"].split("/")[0]) >= 7
+
     def test_table3_fractions_in_range(self, results):
         for row in results["table3"].rows:
             for key in ("order_top1_%", "order_top7_%", "in_top10_top3_%"):
                 assert 0.0 <= row[key] <= 100.0
             assert row["in_top10_top1_%"] <= 60.0
+
+    def test_table3_frequent_values_are_found_early(self, results):
+        # The top value is in the running top-10 from the first
+        # checkpoint on (<= 1%; goldens 0-1.0%), the whole top-7 by 80%
+        # of execution (goldens 16-78%; EXPERIMENTS.md).
+        rows = results["table3"].rows
+        assert {row["benchmark"] for row in rows} == set(FVL_NAMES)
+        for row in rows:
+            assert row["in_top10_top1_%"] <= 1.0
+            assert row["in_top10_top7_%"] <= 80.0
 
     def test_table4_controls_lowest(self, results):
         rows = {row["benchmark"]: row["constant_%"] for row in

@@ -33,10 +33,13 @@ GATED = sorted(
 )
 
 #: (kernel replays, kernel declines) of each gated experiment's fast run
-#: under ``REPRO_BACKEND=numpy``; every other one replays only the
-#: oracle.  fig14's replays include its six 3C classify cells; its six
-#: declines are still the 2-way FVC cells.
+#: under ``REPRO_BACKEND=numpy``; every other one counts none.  fig4's
+#: six are its direct-mapped miss attributions (the other §2 studies'
+#: column paths are profiles, not replays, and are not counted).
+#: fig14's replays include its six 3C classify cells; its six declines
+#: are still the 2-way FVC cells.
 KERNEL_PATHS = {
+    "fig4": (6, 0),
     "fig10": (24, 0),
     "fig12": (72, 0),
     "fig13": (8, 0),

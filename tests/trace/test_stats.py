@@ -1,7 +1,15 @@
 """Tests for trace summary statistics."""
 
+import pytest
+
+from repro.analysis import sanitize
+from repro.kernels import backend
+from repro.profiling.access import profile_accessed_values
 from repro.trace.stats import compute_stats
 from repro.trace.trace import Trace
+from repro.workloads.registry import workload_names
+
+_BACKENDS = ["python"] + (["numpy"] if backend.numpy_available() else [])
 
 
 def _trace() -> Trace:
@@ -51,3 +59,26 @@ class TestComputeStats:
         text = compute_stats(_trace()).format()
         assert "accesses" in text
         assert "top accessed values" in text
+
+    @pytest.mark.parametrize("backend_name", _BACKENDS)
+    def test_ties_rank_by_value(self, backend_name, monkeypatch):
+        # 9 is accessed first, but 9 and 2 tie at two accesses each.
+        monkeypatch.setenv(backend.ENV_VAR, backend_name)
+        monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
+        trace = Trace([(0, 0, 9), (0, 4, 9), (0, 8, 2), (0, 12, 2), (0, 4, 5)])
+        assert compute_stats(trace).top_values == ((2, 2), (9, 2), (5, 1))
+
+
+class TestTopValuesAreTheStudiesRanking:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("backend_name", _BACKENDS)
+    @pytest.mark.parametrize("name", workload_names())
+    def test_top_ten_equals_the_access_profile(
+        self, name, backend_name, store, monkeypatch
+    ):
+        monkeypatch.setenv(backend.ENV_VAR, backend_name)
+        monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
+        trace = store.get(name, "test")
+        assert compute_stats(trace).top_values == (
+            profile_accessed_values(trace).ranked[:10]
+        )
