@@ -34,6 +34,10 @@ class VictimCacheSystem:
             raise ConfigurationError("victim cache needs at least one entry")
         self.geometry = geometry
         self.victim_entries = victim_entries
+        # Bound once: each geometry property re-derives its value.
+        self._line_shift = geometry.line_shift
+        self._set_mask = geometry.set_mask
+        self._words_per_line = geometry.words_per_line
         self.stats = CacheStats()
         self.dmc_hits = 0
         self.vc_hits = 0
@@ -45,9 +49,8 @@ class VictimCacheSystem:
     # ------------------------------------------------------------------
     def access(self, op: int, byte_addr: int) -> bool:
         """Simulate one access; returns True on an overall hit."""
-        geom = self.geometry
-        line_addr = byte_addr >> geom.line_shift
-        index = line_addr & geom.set_mask
+        line_addr = byte_addr >> self._line_shift
+        index = line_addr & self._set_mask
         stats = self.stats
         if self._tags[index] == line_addr:
             self.dmc_hits += 1
@@ -76,7 +79,7 @@ class VictimCacheSystem:
         self._tags[index] = line_addr
         self._dirty[index] = bool(op)
         stats.fills += 1
-        stats.fill_words += geom.words_per_line
+        stats.fill_words += self._words_per_line
         if op:
             stats.write_misses += 1
         else:
@@ -119,12 +122,12 @@ class VictimCacheSystem:
         evicted = self._victims.pop()
         if evicted[1]:
             self.stats.writebacks += 1
-            self.stats.writeback_words += self.geometry.words_per_line
+            self.stats.writeback_words += self._words_per_line
 
     # Introspection ------------------------------------------------------
     def victim_resident(self, byte_addr: int) -> bool:
         """True when the line holding ``byte_addr`` sits in the buffer."""
-        line_addr = byte_addr >> self.geometry.line_shift
+        line_addr = byte_addr >> self._line_shift
         return any(entry[0] == line_addr for entry in self._victims)
 
     def storage_bytes(self) -> int:

@@ -63,7 +63,7 @@ from repro.experiments.registry import (
 from repro.experiments.common import (
     baseline_stats,
     classify_replay,
-    fvc_stats,
+    fvc_replay,
     reduction_percent,
 )
 from repro.profiling.report import build_report
@@ -426,9 +426,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     trace = shared_store.get(args.workload, args.input)
     geometry = CacheGeometry(args.size_kb * 1024, args.line)
     base = baseline_stats(trace, geometry)
-    fvc = system = None
+    fvc = extras = None
     if args.fvc:
-        fvc, system = fvc_stats(trace, geometry, args.fvc, args.top)
+        fvc, extras = fvc_replay(trace, geometry, args.fvc, args.top)
     if args.json:
         from repro.experiments.render import dumps_canonical
 
@@ -449,7 +449,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "entries": args.fvc,
                 "top_values": args.top,
                 "stats": fvc.as_dict(),
-                "fvc_hits": system.fvc_hits,
+                "fvc_hits": extras["fvc_hits"],
                 "reduction_percent": round(
                     reduction_percent(base, fvc), 3
                 ),
@@ -467,7 +467,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"miss rate {100 * fvc.miss_rate:.3f}% "
             f"({reduction_percent(base, fvc):.1f}% reduction), "
             f"traffic {fvc.traffic_words} words, "
-            f"FVC hits {system.fvc_hits}"
+            f"FVC hits {extras['fvc_hits']}"
         )
     return 0
 

@@ -16,15 +16,21 @@ directly, and supervises the child:
   worker is lost at once, its lease is re-issued within the task's
   attempt budget, and a fresh child is forked in its place;
 * a child exits when its pipe closes, so a SIGKILLed ``serve`` leaves
-  no idle workers behind.
+  no idle workers behind;
+* a child keeps no other descriptor of the serving process: forked
+  from a multi-threaded server, it would otherwise hold the listening
+  socket, in-flight connections and a concurrent ``subprocess.Popen``'s
+  exec-status pipe for as long as it lives.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 import threading
-from typing import Optional, Set
+import time
+from typing import List, Optional, Set
 
 from repro.cluster.protocol import WORKER_SCHEMA
 from repro.faults.sites import decide_child_fault
@@ -85,10 +91,47 @@ class PipeClient:
         return self._call("trace", workload, input_name)
 
 
+def _inherited_descriptors() -> List[int]:
+    """This process's open descriptors, listed from ``/proc/self/fd``
+    (or ``/dev/fd``); empty where neither can be listed."""
+    for directory in ("/proc/self/fd", "/dev/fd"):
+        try:
+            names = os.listdir(directory)
+        except OSError:
+            continue
+        open_fds = []
+        for fd in map(int, names):
+            try:
+                os.fstat(fd)
+            except OSError:
+                continue  # the listing's own descriptor, closed by now
+            open_fds.append(fd)
+        return open_fds
+    return []
+
+
+def _drop_inherited(keep: int) -> None:
+    """Point every inherited descriptor except 0/1/2 and ``keep`` at
+    ``/dev/null``.
+
+    ``dup2`` drops the references without freeing the numbers, so a
+    Python object that still owns one of them can never close or write
+    into a file the child opens later.
+    """
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in _inherited_descriptors():
+            if fd > 2 and fd not in (keep, null):
+                os.dup2(null, fd, inheritable=False)
+    finally:
+        os.close(null)
+
+
 def _child_main(conn, name: str, parent_ends) -> None:
     """A local worker process: the worker loop over ``conn``."""
     for end in parent_ends:
         end.close()
+    _drop_inherited(conn.fileno())
     # Ctrl-C on ``serve`` reaches the whole process group; the parent
     # drains and then stops its children itself.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -96,6 +139,21 @@ def _child_main(conn, name: str, parent_ends) -> None:
 
     config = WorkerConfig(coordinator="the serving process", name=name, batch=1)
     work_loop(PipeClient(conn), config, threading.Event())
+
+
+def _reap(process, grace: float = 1.0) -> None:
+    """Give ``process`` ``grace`` seconds to exit, then kill it.
+
+    Polls instead of ``process.join(grace)``: the child dropped its
+    copy of multiprocessing's exit-sentinel pipe with every other
+    inherited descriptor, so the sentinel no longer bounds a join.
+    """
+    deadline = time.monotonic() + grace
+    while process.is_alive() and time.monotonic() < deadline:
+        time.sleep(_TICK / 5)
+    if process.is_alive():
+        process.kill()
+    process.join()
 
 
 class LocalWorker:
@@ -162,10 +220,7 @@ class LocalWorker:
             with _SPAWN_LOCK:
                 _PARENT_ENDS.discard(conn)
             conn.close()
-            process.join(1.0)
-            if process.is_alive():
-                process.kill()
-                process.join()
+            _reap(process)
             with self._lock:
                 worker_id, self.worker_id = self.worker_id, None
             if worker_id is None:

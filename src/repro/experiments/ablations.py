@@ -25,8 +25,9 @@ from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import (
     FVL_NAMES,
     baseline_stats,
+    encoder_for,
     fvc_miss_stats,
-    fvc_stats,
+    fvc_replay,
     input_for,
     reduction_percent,
 )
@@ -130,9 +131,7 @@ class AblationDynamic(Experiment):
         for name in FVL_NAMES:
             trace = store.get(name, input_name)
             base = baseline_stats(trace, _GEOMETRY)
-            profiled_stats, profiled_system = fvc_stats(
-                trace, _GEOMETRY, 512, top_values=7
-            )
+            profiled_stats, _ = fvc_replay(trace, _GEOMETRY, 512, top_values=7)
             warmup = max(1000, len(trace) // 20)
             dynamic = DynamicFvcSystem(
                 _GEOMETRY, 512, code_bits=3, warmup_accesses=warmup
@@ -140,7 +139,7 @@ class AblationDynamic(Experiment):
             dynamic_stats = dynamic.simulate(trace)
             overlap = len(
                 set(dynamic.frequent_values)
-                & set(profiled_system.encoder.values)
+                & set(encoder_for(trace, 7).values)
             )
             rows.append(
                 {

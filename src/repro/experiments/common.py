@@ -3,10 +3,10 @@ lists.
 
 Centralising these keeps every experiment honest: all of them profile
 values, build encoders, and replay caches exactly the same way.
-:func:`baseline_stats`, :func:`fvc_replay` and :func:`classify_replay`
-are the one replay path per cell kind — the kernel when it accepts the
-cell, otherwise the oracle, audited by the runtime sanitizer
-(``REPRO_SANITIZE=1``) — for simulation cells
+:func:`baseline_stats`, :func:`fvc_replay`, :func:`victim_replay` and
+:func:`classify_replay` are the one replay path per model — the kernel
+when it accepts the configuration, otherwise the oracle, audited by the
+runtime sanitizer (``REPRO_SANITIZE=1``) — for simulation cells
 (:func:`repro.engine.cells.run_cell`), the CLI and direct callers
 alike.
 """
@@ -21,6 +21,7 @@ from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
+from repro.cache.victim import VictimCacheSystem
 from repro.fvc.encoding import FrequentValueEncoder
 from repro.fvc.system import FvcSystem, FvcSystemConfig
 from repro.kernels import dispatch
@@ -111,21 +112,32 @@ def classify_replay(trace: Trace, geometry: CacheGeometry) -> MissClassification
 
 
 def fvc_replay(
-    trace: Trace, geometry: CacheGeometry, fvc_entries: int, top_values: int
-) -> Tuple[CacheStats, Dict[str, int]]:
+    trace: Trace,
+    geometry: CacheGeometry,
+    fvc_entries: int,
+    top_values: int,
+    occupancy_interval: int = 0,
+) -> Tuple[CacheStats, Dict[str, float]]:
     """Miss statistics and hit breakdown of the default-configuration
-    cache + FVC system."""
+    cache + FVC system.
+
+    A non-zero ``occupancy_interval`` samples the FVC's frequent-word
+    fraction every that many accesses (Fig. 11) and adds the mean as
+    the ``mean_fvc_frequent_fraction`` extra.
+    """
     encoder = encoder_for(trace, top_values)
-    replayed = dispatch.try_fvc_replay(trace, geometry, fvc_entries, encoder)
+    replayed = dispatch.try_fvc_replay(
+        trace, geometry, fvc_entries, encoder, occupancy_interval
+    )
     if replayed is not None:
         return replayed
+    config = None
+    if occupancy_interval:
+        config = FvcSystemConfig(occupancy_sample_interval=occupancy_interval)
     sanitizing = sanitize.enabled()
-    system = FvcSystem(
-        geometry,
-        fvc_entries,
-        encoder,
-        config=sanitize.sanitized_fvc_config() if sanitizing else None,
-    )
+    if sanitizing:
+        config = sanitize.sanitized_fvc_config(config)
+    system = FvcSystem(geometry, fvc_entries, encoder, config=config)
     audit = sanitize.attach_fvc_system(system) if sanitizing else None
     stats = system.simulate_batch(trace)
     if sanitizing:
@@ -137,12 +149,37 @@ def fvc_replay(
             len(trace),
             audit,
         )
-    return stats, {
+    extras: Dict[str, float] = {
         "main_hits": system.main_hits,
         "fvc_hits": system.fvc_hits,
         "fvc_read_hits": system.fvc_read_hits,
         "fvc_write_hits": system.fvc_write_hits,
     }
+    if occupancy_interval:
+        extras["mean_fvc_frequent_fraction"] = system.mean_fvc_frequent_fraction
+    return stats, extras
+
+
+def victim_replay(
+    trace: Trace, geometry: CacheGeometry, victim_entries: int
+) -> Tuple[CacheStats, Dict[str, int]]:
+    """Miss statistics and hit split (``dmc_hits`` / ``vc_hits``) of a
+    direct-mapped cache backed by a ``victim_entries``-line victim
+    buffer."""
+    replayed = dispatch.try_victim_replay(trace, geometry, victim_entries)
+    if replayed is not None:
+        return replayed
+    system = VictimCacheSystem(geometry, victim_entries)
+    stats = system.simulate(trace)
+    if sanitize.enabled():
+        _checked(
+            "victim",
+            trace,
+            sanitize.check_stats_conservation,
+            stats,
+            len(trace),
+        )
+    return stats, {"dmc_hits": system.dmc_hits, "vc_hits": system.vc_hits}
 
 
 def fvc_stats(

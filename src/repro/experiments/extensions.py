@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import TwoLevelFvcSystem, TwoLevelSystem
 from repro.cache.writethrough import WriteThroughCache
@@ -30,10 +29,11 @@ from repro.experiments.common import (
     baseline_stats,
     encoder_for,
     fvc_miss_stats,
+    fvc_replay,
     input_for,
     reduction_percent,
+    victim_replay,
 )
-from repro.cache.victim import VictimCacheSystem
 from repro.fvc.encoding import FrequentValueEncoder
 from repro.fvc.compression import CompressedCache
 from repro.fvc.hybrid import HybridFvcVictimSystem
@@ -63,7 +63,7 @@ class ExtWriteThroughTraffic(Experiment):
         rows = []
         for name in FVL_NAMES:
             trace = store.get(name, input_name)
-            write_back = DirectMappedCache(_GEOMETRY).simulate(trace)
+            write_back = baseline_stats(trace, _GEOMETRY)
             write_through = WriteThroughCache(_GEOMETRY).simulate(trace)
             rows.append(
                 {
@@ -202,11 +202,13 @@ class ExtFvcAssociativity(Experiment):
         for name in FVL_NAMES:
             trace = store.get(name, input_name)
             base = baseline_stats(trace, _GEOMETRY)
+            direct, _ = fvc_replay(trace, _GEOMETRY, 512, top_values=7)
             row = {
                 "benchmark": name,
                 "base_miss_%": round(100 * base.miss_rate, 3),
+                "red_direct_%": round(reduction_percent(base, direct), 1),
             }
-            for label, ways in (("direct", 1), ("2way", 2), ("4way", 4)):
+            for label, ways in (("2way", 2), ("4way", 4)):
                 system = FvcSystem(
                     _GEOMETRY, 512, encoder_for(trace, 7), fvc_ways=ways
                 )
@@ -241,11 +243,10 @@ class ExtHybrid(Experiment):
         for name in FVL_NAMES:
             trace = store.get(name, input_name)
             base = baseline_stats(trace, geometry)
-            encoder = encoder_for(trace, 7)
-            fvc_only = FvcSystem(geometry, 256, encoder).simulate(trace)
-            vc_only = VictimCacheSystem(geometry, 8).simulate(trace)
+            fvc_only, _ = fvc_replay(trace, geometry, 256, top_values=7)
+            vc_only, _ = victim_replay(trace, geometry, 8)
             hybrid = HybridFvcVictimSystem(
-                geometry, 256, 8, encoder
+                geometry, 256, 8, encoder_for(trace, 7)
             )
             hybrid_stats = hybrid.simulate(trace)
             routed = hybrid.routed_to_fvc + hybrid.routed_to_victim

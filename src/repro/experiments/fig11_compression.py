@@ -14,8 +14,7 @@ from typing import Optional
 
 from repro.cache.geometry import CacheGeometry
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.common import FVL_NAMES, fvc_stats, input_for
-from repro.fvc.system import FvcSystemConfig
+from repro.experiments.common import FVL_NAMES, fvc_replay, input_for
 from repro.workloads.store import TraceStore
 
 
@@ -32,7 +31,6 @@ class Fig11Compression(Experiment):
         store = self._store(store)
         input_name = input_for(fast)
         geometry = CacheGeometry(16 * 1024, 32)
-        config = FvcSystemConfig(occupancy_sample_interval=512)
         headers = [
             "benchmark",
             "frequent_content_%",
@@ -43,10 +41,10 @@ class Fig11Compression(Experiment):
         rows = []
         for name in FVL_NAMES:
             trace = store.get(name, input_name)
-            _, system = fvc_stats(
-                trace, geometry, 512, top_values=7, config=config
+            _, extras = fvc_replay(
+                trace, geometry, 512, top_values=7, occupancy_interval=512
             )
-            content = system.mean_fvc_frequent_fraction
+            content = extras["mean_fvc_frequent_fraction"]
             # 32-byte line compressed to a 3-byte code field (8 words x
             # 3 bits), scaled by how much of it holds real values.
             factor = (32 / 3) * content
@@ -55,8 +53,8 @@ class Fig11Compression(Experiment):
                     "benchmark": name,
                     "frequent_content_%": round(100 * content, 1),
                     "storage_factor_x": round(factor, 2),
-                    "fvc_read_hits": system.fvc_read_hits,
-                    "fvc_write_hits": system.fvc_write_hits,
+                    "fvc_read_hits": extras["fvc_read_hits"],
+                    "fvc_write_hits": extras["fvc_write_hits"],
                 }
             )
         result = self._result(headers, rows)

@@ -25,6 +25,7 @@ from repro.experiments.common import (
     fvc_miss_stats,
     input_for,
     reduction_percent,
+    victim_replay,
 )
 from repro.fvc.cache import FrequentValueCacheArray
 from repro.timing.cacti import DEFAULT_MODEL
@@ -61,8 +62,7 @@ class Fig15Victim(Experiment):
                 "base_miss_%": round(100 * base.miss_rate, 3),
             }
             for label, victim_entries in (("vc16", 16), ("vc4", 4)):
-                system = VictimCacheSystem(geometry, victim_entries)
-                stats = system.simulate(trace)
+                stats, _ = victim_replay(trace, geometry, victim_entries)
                 row[f"{label}_red_%"] = round(reduction_percent(base, stats), 1)
             for label, entries in (("fvc128", 128), ("fvc512", 512)):
                 stats = fvc_miss_stats(trace, geometry, entries, top_values=7)

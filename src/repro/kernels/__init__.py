@@ -4,7 +4,8 @@ The pure-Python simulators in :mod:`repro.cache` and :mod:`repro.fvc`
 are the *oracle*: they define the semantics, record by record.  This
 package provides numpy-vectorized kernels for the hot models — the
 direct-mapped baseline, the set-associative baseline, the DMC+FVC
-system, the two-level hierarchy's L1 filter, and the 3C miss
+system (with Fig. 11's occupancy samples), the DMC with a victim
+buffer, the two-level hierarchy's L1 filter, and the 3C miss
 classification of a direct-mapped cache — that produce
 **byte-identical statistics** to the oracle while replaying traces as
 columnar array operations instead of per-record tuple dispatch.

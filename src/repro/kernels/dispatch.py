@@ -77,14 +77,36 @@ def try_fvc_replay(
     geometry: CacheGeometry,
     fvc_entries: int,
     encoder: FrequentValueEncoder,
+    occupancy_interval: int = 0,
 ) -> Optional[Tuple[CacheStats, dict]]:
-    """Kernel statistics + extras for a DMC+FVC cell, or ``None``."""
+    """Kernel statistics + extras for a DMC+FVC cell, or ``None``;
+    a non-zero ``occupancy_interval`` adds the Fig. 11 occupancy mean."""
     if not kernels_active():
         return None
     from repro.kernels.fvc import fvc_cell_replay
 
     started = time.perf_counter()
-    result = fvc_cell_replay(trace, geometry, fvc_entries, encoder)
+    result = fvc_cell_replay(
+        trace, geometry, fvc_entries, encoder, occupancy_interval
+    )
+    if result is None:
+        _record("decline")
+        return None
+    _record("replay", time.perf_counter() - started)
+    return result
+
+
+def try_victim_replay(
+    trace: Trace, geometry: CacheGeometry, victim_entries: int
+) -> Optional[Tuple[CacheStats, dict]]:
+    """Kernel statistics + hit split for a DMC with a victim buffer, or
+    ``None``."""
+    if not kernels_active():
+        return None
+    from repro.kernels.victim import victim_cell_replay
+
+    started = time.perf_counter()
+    result = victim_cell_replay(trace, geometry, victim_entries)
     if result is None:
         _record("decline")
         return None

@@ -27,7 +27,10 @@ from repro.kernels.columnar import (
 from repro.trace.trace import Trace
 
 
-def _run_reductions(np, trace: Trace, geometry: CacheGeometry):
+def run_reductions(np, trace: Trace, geometry: CacheGeometry):
+    """``(columns, set order, miss positions, stored)``: each set-order
+    run's start is a miss at ``miss_pos`` (set order, not time order),
+    and ``stored`` says whether the run held a store."""
     cols = trace_columns(trace)
     if not cols.in_range:
         raise KernelUnsupported("records outside the 32-bit domain")
@@ -37,11 +40,17 @@ def _run_reductions(np, trace: Trace, geometry: CacheGeometry):
     store_s = (cols.ops[so.sorder] == 1).astype(np.int64)
     spref = np.zeros(cols.n + 1, dtype=np.int64)
     np.cumsum(store_s, out=spref[1:])
-    run_stores = spref[so.run_start[1:]] - spref[run_starts]
+    stored = (spref[so.run_start[1:]] - spref[run_starts]) > 0
+    return cols, so, miss_pos, stored
+
+
+def _writebacks(np, so, stored):
+    # A run start writes back exactly when the previous run in the same
+    # set was dirty.
     wb = np.zeros(so.nruns, dtype=bool)
     if so.nruns > 1:
-        wb[1:] = (so.run_set[1:] == so.run_set[:-1]) & (run_stores[:-1] > 0)
-    return cols, so, miss_pos, wb
+        wb[1:] = (so.run_set[1:] == so.run_set[:-1]) & stored[:-1]
+    return wb
 
 
 def dmc_stats(trace: Trace, geometry: CacheGeometry) -> Optional[CacheStats]:
@@ -51,9 +60,10 @@ def dmc_stats(trace: Trace, geometry: CacheGeometry) -> Optional[CacheStats]:
         return None
     try:
         np = require_numpy()
-        cols, so, miss_pos, wb = _run_reductions(np, trace, geometry)
+        cols, so, miss_pos, stored = run_reductions(np, trace, geometry)
     except KernelUnsupported:
         return None
+    wb = _writebacks(np, so, stored)
     stats = CacheStats()
     read_misses = int((cols.ops[miss_pos] == 0).sum())
     stats.read_misses = read_misses
@@ -78,9 +88,10 @@ def dmc_miss_stream(trace: Trace, geometry: CacheGeometry):
         return None
     try:
         np = require_numpy()
-        _, so, miss_pos, wb = _run_reductions(np, trace, geometry)
+        _, so, miss_pos, stored = run_reductions(np, trace, geometry)
     except KernelUnsupported:
         return None
+    wb = _writebacks(np, so, stored)
     victims = np.full(so.nruns, -1, dtype=np.int64)
     if so.nruns > 1:
         victims[1:][wb[1:]] = so.run_line[:-1][wb[1:]]

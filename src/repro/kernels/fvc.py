@@ -38,6 +38,11 @@ Exactness argument (each step checked against :class:`FvcSystem`):
   first.  A still-pending install at end of trace is resolved then:
   entering the FVC displaces the resident entry, whose dirty words the
   oracle flushed eagerly at install time.
+* Fig. 11's occupancy samples (only when asked for an interval): the
+  replay logs each FVC entry's residency — from its victim's eviction
+  to its promotion, its displacement or the end of the trace — and one
+  vectorized pass over the log computes every sample
+  (:func:`_mean_frequent_fraction`).
 
 The kernel declines (returns ``None``) for anything outside this
 envelope — set-associative mains or FVCs, non-power-of-two FVC sizes,
@@ -60,6 +65,7 @@ from repro.kernels.columnar import (
     freq_layer,
     is_value_consistent,
     line_index,
+    require_numpy,
     set_order,
     trace_columns,
 )
@@ -71,10 +77,17 @@ def fvc_cell_replay(
     geometry: CacheGeometry,
     fvc_entries: int,
     encoder: FrequentValueEncoder,
+    occupancy_interval: int = 0,
 ) -> Optional[Tuple[CacheStats, dict]]:
     """Exact ``FvcSystem`` statistics and extras for one cell, or
     ``None`` when this trace/configuration is outside the kernel's
-    proven envelope."""
+    proven envelope.
+
+    A non-zero ``occupancy_interval`` adds the extra
+    ``mean_fvc_frequent_fraction``: the oracle's
+    ``mean_fvc_frequent_fraction`` under
+    ``FvcSystemConfig(occupancy_sample_interval=occupancy_interval)``.
+    """
     if geometry.ways != 1:
         return None
     if fvc_entries < 1 or fvc_entries & (fvc_entries - 1):
@@ -155,6 +168,10 @@ def fvc_cell_replay(
     pend_line = [-1] * fvc_entries
     pend_ls = [0] * fvc_entries
     pend_pos = [0] * fvc_entries
+    tag_in = [0] * fvc_entries  # eviction position that installed the entry
+    # (line slot, installed at, removed at) per ended residency, kept
+    # only for occupancy samples.
+    resident = [] if occupancy_interval else None
 
     def commit(f: int, r0: int, r1: int) -> None:
         nonlocal fvc_read_hits, fvc_write_hits
@@ -193,8 +210,11 @@ def fvc_cell_replay(
                 if mask:
                     writebacks += 1
                     writeback_words += bin(mask).count("1")
+                if resident is not None:
+                    resident.append((tag_ls[f], tag_in[f], pend_pos[f]))
             tag[f] = pend_line[f]
             tag_ls[f] = pend_ls[f]
+            tag_in[f] = pend_pos[f]
             dmask[f] = 0
             open_r0[f] = -1
         pend_line[f] = -1
@@ -293,6 +313,8 @@ def fvc_cell_replay(
                     commit(f, r0, r)
                     open_r0[f] = -1
                 pd = dmask[f] != 0
+                if resident is not None:
+                    resident.append((tag_ls[f], tag_in[f], p))
                 tag[f] = -1
                 dmask[f] = 0
             else:
@@ -336,6 +358,8 @@ def fvc_cell_replay(
             # hits (any infrequent touch or third line would have been
             # a boundary event) and nothing displaced the entry.
             commit(f, r0, start_list[tag_ls[f] + 1])
+        if resident is not None and tag[f] != -1:
+            resident.append((tag_ls[f], tag_in[f], n))
 
     stats = CacheStats()
     stats.read_misses = read_misses
@@ -354,4 +378,64 @@ def fvc_cell_replay(
         "fvc_read_hits": fvc_read_hits,
         "fvc_write_hits": fvc_write_hits,
     }
+    if resident is not None:
+        extras["mean_fvc_frequent_fraction"] = _mean_frequent_fraction(
+            li, fl, wpl, resident, occupancy_interval
+        )
     return stats, extras
+
+
+def _mean_frequent_fraction(li, fl, wpl: int, resident, interval: int) -> float:
+    """Fig. 11's time-averaged frequent-word fraction from the log of
+    ``(line slot, installed at, removed at)`` residencies.
+
+    The oracle samples before record ``j`` when ``(j + 1) % interval ==
+    0``; an entry installed while record ``a`` is processed and removed
+    while record ``b`` is (``b = n`` when it stays) counts in the
+    samples ``j`` in ``a + 1 .. b``.  A resident entry's frequent-code
+    count equals the number of its line's words whose latest value is
+    frequent: ``cf0`` plus the frequent-word deltas of the line's
+    earlier records, read from the packed prefix at the line's CSR rank
+    (as ``resolve`` does).  Two difference arrays over record positions
+    give every sample's valid-entry and frequent-word totals; the
+    fractions add up in sample order as the oracle's ``+=`` does, and
+    with no sample the end state's fraction is the answer.
+    """
+    np = require_numpy()
+    n = len(li.rank)
+    log = np.asarray(resident, dtype=np.int64).reshape(-1, 3)
+    slots, installed, removed = log[:, 0], log[:, 1], log[:, 2]
+    lorder = li.lorder
+    pref = fl.pref
+    shift = 2 * PACK_BITS
+    # CSR rank of the line's first record at or after a position: the
+    # CSR order is sorted by (line slot, position).
+    key = li.lslot[lorder].astype(np.int64) * (n + 1) + lorder
+    first = li.start[slots]
+    r_in = np.searchsorted(key, slots * (n + 1) + installed)
+    r_out = np.searchsorted(key, slots * (n + 1) + removed)
+
+    def count_before(r):
+        return fl.cf0 + ((pref[r] - pref[first]) >> shift) - (r - first)
+
+    words = np.zeros(n + 2, dtype=np.int64)
+    np.add.at(words, installed + 1, count_before(r_in))
+    np.add.at(words, removed + 1, -count_before(r_out))
+    # The resident line's own records (frequent hits) move its count.
+    marks = np.bincount(r_in, minlength=n + 1) - np.bincount(
+        r_out, minlength=n + 1
+    )
+    delta = ((pref[1:] - pref[:-1]) >> shift) - 1
+    moved = np.flatnonzero((np.cumsum(marks[:n]) > 0) & (delta != 0))
+    np.add.at(words, lorder[moved] + 1, delta[moved])
+    valid = np.bincount(installed + 1, minlength=n + 2) - np.bincount(
+        removed + 1, minlength=n + 2
+    )
+    samples = np.arange(interval - 1, n, interval)
+    at = samples if len(samples) else np.array([n])
+    held = np.cumsum(valid)[at]
+    fractions = np.zeros(len(at))
+    np.divide(np.cumsum(words)[at], held * wpl, out=fractions, where=held > 0)
+    if not len(samples):
+        return float(fractions[0])
+    return float(np.add.accumulate(fractions)[-1]) / len(samples)

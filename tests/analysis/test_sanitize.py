@@ -256,6 +256,17 @@ class TestExperimentHelpers:
         ):
             assert counts.get(kind) == 1, kind
 
+    def test_victim_helper_is_audited(self, store, monkeypatch):
+        """Fig. 15's victim caches replay the oracle under the
+        sanitizer, and their statistics are checked for conservation."""
+        from repro.experiments.common import victim_replay
+
+        monkeypatch.setenv(sanitize.ENV_VAR, "1")
+        trace = store.get("go", "test")
+        stats, extras = victim_replay(trace, CacheGeometry(4 * 1024, 32), 4)
+        assert sanitize.counters().get("stats_conservation") == 1
+        assert stats.hits == extras["dmc_hits"] + extras["vc_hits"]
+
     def test_violation_names_the_replay(self, store, monkeypatch):
         from repro.experiments import common
 

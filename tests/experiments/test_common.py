@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
+from repro.cache.victim import VictimCacheSystem
 from repro.experiments.common import (
     CODE_BITS_BY_COUNT,
     FVL_NAMES,
@@ -11,11 +12,18 @@ from repro.experiments.common import (
     access_profile,
     baseline_stats,
     encoder_for,
+    fvc_replay,
     fvc_stats,
     input_for,
     reduction_percent,
+    victim_replay,
 )
+from repro.fvc.system import FvcSystemConfig
+from repro.kernels import backend
 from repro.trace.synth import zipf_value_trace
+
+#: The backends this process can run.
+_BACKENDS = ["python"] + (["numpy"] if backend.numpy_available() else [])
 
 
 class TestConstants:
@@ -63,6 +71,40 @@ class TestSimulationHelpers:
         stats, system = fvc_stats(trace, CacheGeometry(4096, 32), 64, 7)
         assert stats is system.stats
         assert system.check_exclusive()
+
+    @pytest.mark.parametrize("name", _BACKENDS)
+    def test_fvc_replay_adds_occupancy_only_when_asked(
+        self, store, monkeypatch, name
+    ):
+        monkeypatch.setenv(backend.ENV_VAR, name)
+        trace = store.get("go", "test")
+        geometry = CacheGeometry(16 * 1024, 32)
+        stats, extras = fvc_replay(trace, geometry, 512, 7)
+        sampled_stats, sampled = fvc_replay(
+            trace, geometry, 512, 7, occupancy_interval=512
+        )
+        assert "mean_fvc_frequent_fraction" not in extras
+        _, system = fvc_stats(
+            trace, geometry, 512, 7,
+            config=FvcSystemConfig(occupancy_sample_interval=512),
+        )
+        assert (
+            sampled.pop("mean_fvc_frequent_fraction")
+            == system.mean_fvc_frequent_fraction
+        )
+        assert sampled == extras
+        assert sampled_stats.as_dict() == stats.as_dict()
+
+    @pytest.mark.parametrize("name", _BACKENDS)
+    def test_victim_replay_matches_the_oracle(self, store, monkeypatch, name):
+        monkeypatch.setenv(backend.ENV_VAR, name)
+        trace = store.get("go", "test")
+        geometry = CacheGeometry(4 * 1024, 32)
+        stats, extras = victim_replay(trace, geometry, 16)
+        system = VictimCacheSystem(geometry, 16)
+        system.simulate(trace)
+        assert stats.as_dict() == system.stats.as_dict()
+        assert extras == {"dmc_hits": system.dmc_hits, "vc_hits": system.vc_hits}
 
     def test_reduction_percent(self):
         base = CacheStats()

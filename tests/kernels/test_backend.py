@@ -88,6 +88,7 @@ class TestDispatchGates:
         geometry = CacheGeometry(4096, 16)
         assert dispatch.try_baseline_stats(trace, geometry) is None
         assert dispatch.try_classify(trace, geometry) is None
+        assert dispatch.try_victim_replay(trace, geometry, 4) is None
         assert dispatch.try_hierarchy_replay(object(), trace) is False
 
 

@@ -36,15 +36,18 @@ GATED = sorted(
 #: under ``REPRO_BACKEND=numpy``; every other one counts none.  fig4's
 #: six are its direct-mapped miss attributions (the other §2 studies'
 #: column paths are profiles, not replays, and are not counted).
-#: fig14's replays include its six 3C classify cells; its six declines
-#: are still the 2-way FVC cells.
+#: fig11's six are its occupancy-sampled FVC replays; fig15's 30 are six
+#: baselines, twelve victim caches and twelve FVCs.  fig14's replays
+#: include its six 3C classify cells; its six declines are still the
+#: 2-way FVC cells.
 KERNEL_PATHS = {
     "fig4": (6, 0),
     "fig10": (24, 0),
+    "fig11": (6, 0),
     "fig12": (72, 0),
     "fig13": (8, 0),
     "fig14": (24, 6),
-    "fig15": (18, 0),
+    "fig15": (30, 0),
 }
 
 

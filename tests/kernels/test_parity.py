@@ -15,15 +15,17 @@ from repro.cache.direct import DirectMappedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import TwoLevelSystem
 from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.victim import VictimCacheSystem
 from repro.experiments.common import encoder_for
 from repro.fvc.encoding import FrequentValueEncoder
-from repro.fvc.system import FvcSystem
+from repro.fvc.system import FvcSystem, FvcSystemConfig
 from repro.kernels import backend
 from repro.kernels.classify import dmc_classify
 from repro.kernels.dmc import dmc_stats
 from repro.kernels.fvc import fvc_cell_replay
 from repro.kernels.hierarchy import hierarchy_replay
 from repro.kernels.setassoc import setassoc_stats
+from repro.kernels.victim import victim_cell_replay
 from repro.profiling.access import profile_accessed_values
 from repro.trace.trace import Trace
 
@@ -32,16 +34,19 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _fvc_oracle(trace, geometry, entries, encoder):
-    system = FvcSystem(geometry, entries, encoder)
-    system.simulate_batch(trace.records)
-    extras = {
+def _fvc_extras(system):
+    return {
         "main_hits": system.main_hits,
         "fvc_hits": system.fvc_hits,
         "fvc_read_hits": system.fvc_read_hits,
         "fvc_write_hits": system.fvc_write_hits,
     }
-    return system.stats.as_dict(), extras
+
+
+def _fvc_oracle(trace, geometry, entries, encoder):
+    system = FvcSystem(geometry, entries, encoder)
+    system.simulate_batch(trace.records)
+    return system.stats.as_dict(), _fvc_extras(system)
 
 
 def _assert_fvc_parity(trace, geometry, entries, encoder):
@@ -157,6 +162,137 @@ class TestFvcParitySweep:
         encoder = encoder_for(trace, top)
         size = _FVC_SIZES[entries](geometry.num_sets)
         _assert_fvc_parity(trace, geometry, size, encoder)
+
+
+class TestOccupancyParity:
+    """Fig. 11's occupancy mean from the kernel's residency log against
+    the oracle's running ``+=`` of sampled fractions, compared with
+    ``==``: the same samples, fractions and summation order."""
+
+    @pytest.mark.parametrize("interval", [1, 7, 512, "n+1"])
+    @pytest.mark.parametrize("top", [1, 3, 7])
+    @pytest.mark.parametrize("entries", ["sets/4", "2*sets"])
+    def test_gcc(self, gcc_trace, entries, top, interval):
+        geometry = CacheGeometry(4 * 1024, 32, ways=1)
+        size = _FVC_SIZES[entries](geometry.num_sets)
+        if interval == "n+1":
+            # No sample at all: the end state's instantaneous fraction.
+            interval = len(gcc_trace) + 1
+        encoder = encoder_for(gcc_trace, top)
+        replayed = fvc_cell_replay(
+            gcc_trace, geometry, size, encoder, occupancy_interval=interval
+        )
+        assert replayed is not None
+        stats, extras = replayed
+        config = FvcSystemConfig(occupancy_sample_interval=interval)
+        system = FvcSystem(geometry, size, encoder, config=config)
+        system.simulate_batch(gcc_trace.records)
+        assert stats.as_dict() == system.stats.as_dict()
+        assert (
+            extras.pop("mean_fvc_frequent_fraction")
+            == system.mean_fvc_frequent_fraction
+        )
+        assert extras == _fvc_extras(system)
+
+    def test_no_occupancy_extra_unless_asked(self, gcc_trace):
+        geometry = CacheGeometry(4 * 1024, 32, ways=1)
+        replayed = fvc_cell_replay(
+            gcc_trace, geometry, 512, encoder_for(gcc_trace, 7)
+        )
+        assert "mean_fvc_frequent_fraction" not in replayed[1]
+
+
+def _assert_victim_parity(trace, geometry, entries):
+    """The kernel accepts the configuration and matches
+    ``VictimCacheSystem`` on every ``CacheStats`` field and the
+    DMC/victim-cache hit split; returns the kernel's result."""
+    replayed = victim_cell_replay(trace, geometry, entries)
+    assert replayed is not None
+    stats, extras = replayed
+    system = VictimCacheSystem(geometry, entries)
+    system.simulate(trace.records)
+    assert stats.as_dict() == system.stats.as_dict()
+    assert extras == {"dmc_hits": system.dmc_hits, "vc_hits": system.vc_hits}
+    return stats, extras
+
+
+def _ops_trace(accesses, line_bytes=16):
+    """``(op, line)`` pairs as a trace of whole-line accesses."""
+    return Trace(
+        [(op, line * line_bytes, 0) for op, line in accesses], workload="syn"
+    )
+
+
+class TestVictimParity:
+    """The victim-cache kernel against the oracle, counter by counter."""
+
+    @pytest.mark.parametrize("line_bytes", [16, 32, 64])
+    @pytest.mark.parametrize("size_kb", [1, 4, 16])
+    @pytest.mark.parametrize(
+        "workload",
+        ["go", "m88ksim", "gcc", "li", "perl", "vortex", "compress", "ijpeg"],
+    )
+    def test_workload(self, store, workload, size_kb, line_bytes):
+        trace = store.get(workload, "test")
+        geometry = CacheGeometry(size_kb * 1024, line_bytes, ways=1)
+        for entries in (1, 4, 16):
+            _assert_victim_parity(trace, geometry, entries)
+
+    # A 64-byte cache of 16-byte lines: four sets, lines 0/4/8/12 all
+    # map to set 0.
+
+    def test_dirty_bit_travels_through_two_swaps(self):
+        # Line 0 is stored once, then swapped out and back twice with
+        # no further store; it is still dirty ("stored to since its last
+        # memory fill") when line 8's miss trims it from the buffer.
+        trace = _ops_trace([(1, 0), (0, 4), (0, 0), (0, 4), (0, 8)])
+        stats, extras = _assert_victim_parity(trace, CacheGeometry(64, 16), 1)
+        assert extras == {"dmc_hits": 0, "vc_hits": 2}
+        assert (stats.write_misses, stats.read_misses) == (1, 2)
+        assert stats.writebacks == 1
+
+    @pytest.mark.parametrize("first_op, writebacks", [(1, 1), (0, 0)])
+    def test_trim_writes_back_only_a_dirty_line(self, first_op, writebacks):
+        trace = _ops_trace([(first_op, 0), (0, 4), (0, 8), (0, 12)])
+        stats, extras = _assert_victim_parity(trace, CacheGeometry(64, 16), 2)
+        assert extras["vc_hits"] == 0
+        assert stats.writebacks == writebacks
+
+    def test_no_flush_at_end_of_trace(self):
+        # Dirty lines left in the cache and the buffer stay unwritten.
+        trace = _ops_trace([(1, 0), (1, 4)])
+        stats, _ = _assert_victim_parity(trace, CacheGeometry(64, 16), 4)
+        assert stats.writebacks == 0
+
+    def test_cold_set_inserts_nothing(self):
+        # Set 1's first fill evicts nothing, so the one-entry buffer
+        # still holds line 0 when it returns.
+        trace = _ops_trace([(0, 0), (0, 4), (0, 1), (0, 0)])
+        _, extras = _assert_victim_parity(trace, CacheGeometry(64, 16), 1)
+        assert extras == {"dmc_hits": 0, "vc_hits": 1}
+
+    def test_one_entry_ping_pong(self):
+        # Two lines sharing a set swap on every access after the first
+        # two misses.
+        accesses = [(i % 3 == 0, 4 * (i % 2)) for i in range(40)]
+        trace = _ops_trace([(int(op), line) for op, line in accesses])
+        stats, extras = _assert_victim_parity(trace, CacheGeometry(64, 16), 1)
+        assert extras == {"dmc_hits": 0, "vc_hits": 38}
+        assert stats.misses == 2
+        assert stats.writebacks == 0
+
+    def test_empty_trace(self):
+        stats, extras = _assert_victim_parity(
+            Trace([], workload="syn"), CacheGeometry(4096, 16), 4
+        )
+        assert stats.accesses == 0
+        assert extras == {"dmc_hits": 0, "vc_hits": 0}
+
+    def test_declines(self, gcc_trace):
+        assert victim_cell_replay(gcc_trace, CacheGeometry(4096, 32, 2), 4) is None
+        assert victim_cell_replay(gcc_trace, CacheGeometry(4096, 32), 0) is None
+        out_of_range = Trace([(0, 2**33, 0)], workload="syn")
+        assert victim_cell_replay(out_of_range, CacheGeometry(4096, 16), 4) is None
 
 
 def _assert_classify_parity(trace, geometry):

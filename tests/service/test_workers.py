@@ -8,6 +8,8 @@ Every job here is a cheap real cell spec; misbehaviour comes from
 child applies before running it.
 """
 
+import os
+import socket
 import time
 
 import pytest
@@ -148,6 +150,43 @@ class TestInjectedFaults:
         assert _counter(service, "cluster_workers_lost_total") == 1
         assert _counter(service, "cluster_leases_reissued_total") == 1
         assert service.jobs.stats()["retries"] == 1
+
+
+def _descriptor_links(pid):
+    links = set()
+    for name in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            links.add(os.readlink(f"/proc/{pid}/fd/{name}"))
+        except OSError:
+            pass  # closed while listing
+    return links
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="reads /proc/<pid>/fd"
+)
+class TestInheritedDescriptors:
+    def test_respawned_child_drops_the_servers_descriptors(
+        self, make_service
+    ):
+        # A respawn forks from the running, multi-threaded server, after
+        # it opened a socket the child must not keep alive.
+        service = make_service("worker.child:crash@1")
+        _wait_for(lambda: service.local_workers[0].worker_id is not None)
+        crashed_pid = _child_pid(service)
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            inode = os.fstat(listener.fileno()).st_ino
+            job = _submit(service, _spec())
+            _wait_for(lambda: job.state == jobstates.DONE)
+            assert job.attempts == 2
+            respawned_pid = _child_pid(service)
+            assert respawned_pid != crashed_pid
+            links = _descriptor_links(respawned_pid)
+        assert f"socket:[{inode}]" not in links
+        # The child's own pipe end is still a socket it holds.
+        assert any(link.startswith("socket:[") for link in links)
 
 
 class TestTimeoutsAndCancellation:
