@@ -21,14 +21,14 @@ class FaultPointCoverage(Rule):
     """FLT001 — direct payload IO in hardened modules must co-occur
     with a fault point.
 
-    In the integrity-checked stores (trace cache, result store,
-    checkpoint records) and the envelope helpers themselves, any
-    function that opens, reads or writes payload files directly must
-    also consult :func:`repro.faults.sites.fault_point` (directly, or
-    via ``read_enveloped``/``write_enveloped``, which do).  Otherwise
-    the IO is invisible to fault plans: the chaos suite can no longer
-    provoke — and therefore no longer proves — the failure handling
-    around it.  Route payload bytes through
+    In the integrity-checked stores (trace cache, result store — the
+    latter also behind ``run --checkpoint``) and the envelope helpers
+    themselves, any function that opens, reads or writes payload files
+    directly must also consult :func:`repro.faults.sites.fault_point`
+    (directly, or via ``read_enveloped``/``write_enveloped``, which do).
+    Otherwise the IO is invisible to fault plans: the chaos suite can no
+    longer provoke — and therefore no longer proves — the failure
+    handling around it.  Route payload bytes through
     :mod:`repro.common.integrity`, or call ``fault_point`` beside the
     raw IO.
     """
@@ -39,7 +39,6 @@ class FaultPointCoverage(Rule):
     include = (
         "repro/common/integrity.py",
         "repro/engine/trace_cache.py",
-        "repro/engine/checkpoint.py",
         "repro/service/result_store.py",
     )
 

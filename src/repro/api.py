@@ -68,13 +68,19 @@ def run_experiment(
 
     ``fast`` shrinks inputs for smoke runs; ``jobs`` fans decomposable
     experiments across worker processes (bit-identical to ``jobs=1``);
-    ``checkpoint`` (a :class:`repro.engine.checkpoint.RunCheckpoint`)
-    makes the run resumable.  Unknown ids raise
-    :class:`repro.common.errors.ConfigurationError` naming the catalog.
+    ``checkpoint`` (a directory) makes the run resumable: each finished
+    cell lands there as a result-store entry, and a rerun restores it
+    instead of recomputing (``repro-fvc run --checkpoint DIR``).
+    Unknown ids raise :class:`repro.common.errors.ConfigurationError`
+    naming the catalog.
     """
     from repro.experiments.registry import run_experiment as _run
     from repro.experiments.render import experiment_payload
 
+    if checkpoint is not None:
+        from repro.service.result_store import checkpoint_store
+
+        checkpoint = checkpoint_store(checkpoint)
     result = _run(
         experiment_id, store=store, fast=fast, jobs=jobs, checkpoint=checkpoint
     )

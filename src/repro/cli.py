@@ -7,7 +7,7 @@
     repro-fvc run fig10 --jobs 4        # fan simulation cells across cores
     repro-fvc run all [--fast] [--jobs N]  # run everything, paper order
     repro-fvc run fig13 --scale test --sanitize  # with runtime invariants
-    repro-fvc run fig13 --checkpoint DIR  # resumable: per-cell records
+    repro-fvc run fig13 --checkpoint DIR  # resumable: per-cell store entries
     repro-fvc run fig13 --faults 'trace_cache.read:io_error@1'  # chaos
     repro-fvc lint [paths...]           # simulator-invariant linter
     repro-fvc cache info|clear|verify   # on-disk trace cache maintenance
@@ -177,15 +177,13 @@ def _run(args: argparse.Namespace) -> int:
             _close_run_flags(args)
         return code
 
+    checkpoint = None
     if args.checkpoint:
-        from pathlib import Path
+        from repro.service.result_store import checkpoint_store
 
-        from repro.engine.checkpoint import RunCheckpoint
-
-        checkpoint_root = Path(args.checkpoint)
-
-        def checkpoint_for(experiment_id: str) -> RunCheckpoint:
-            return RunCheckpoint(checkpoint_root / experiment_id)
+        # One store for the whole invocation, so a cell two experiments
+        # share is computed once.
+        checkpoint = checkpoint_store(args.checkpoint)
 
     collected = []
 
@@ -213,11 +211,11 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     ids = experiment_ids() if args.experiment == "all" else [args.experiment]
-    if args.jobs > 1 and len(ids) > 1 and not args.checkpoint:
+    if args.jobs > 1 and len(ids) > 1 and checkpoint is None:
         # Whole experiments fan across the pool; results print in
         # registry order regardless of completion order.  (With
-        # --checkpoint, experiments run one by one below so each gets
-        # its own per-cell record directory.)
+        # --checkpoint, experiments run one by one below, their cells
+        # fanned out, so every cell goes through the one store.)
         from repro.engine.runner import run_experiments
 
         started = time.perf_counter()
@@ -232,18 +230,21 @@ def _run(args: argparse.Namespace) -> int:
         return finish()
     for experiment_id in ids:
         started = time.perf_counter()
-        ckpt = checkpoint_for(experiment_id) if args.checkpoint else None
+        if checkpoint is not None:
+            hits, stores = checkpoint.hits, checkpoint.stores
         result = run_experiment(
             experiment_id, shared_store, fast=fast, jobs=args.jobs,
-            checkpoint=ckpt,
+            checkpoint=checkpoint,
         )
         show(experiment_id, result, time.perf_counter() - started)
-        if ckpt is not None:
+        if checkpoint is not None:
             # Stderr, so stdout stays byte-identical with and without
             # checkpointing.
             print(
-                f"[checkpoint] {experiment_id}: restored {ckpt.restored}, "
-                f"saved {ckpt.saved} cell record(s) under {ckpt.directory}",
+                f"[checkpoint] {experiment_id}: restored "
+                f"{checkpoint.hits - hits}, saved "
+                f"{checkpoint.stores - stores} cell result(s) under "
+                f"{checkpoint.directory}",
                 file=sys.stderr,
             )
     return finish()
@@ -871,10 +872,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         default=None,
         metavar="DIR",
-        help="persist per-cell results under DIR/<experiment>/ and "
-        "resume from them: an interrupted run re-executes only the "
-        "missing cells, bit-identical to an uninterrupted run "
-        "(see docs/ROBUSTNESS.md)",
+        help="keep each finished cell as a result-store entry in DIR "
+        "(DIR/<key>.json, one store for every experiment of the run) "
+        "and resume from them: an interrupted run re-executes only the "
+        "missing cells, bit-identical to an uninterrupted run; DIR also "
+        "works as 'serve --store-dir' (see docs/ROBUSTNESS.md)",
     )
     run.add_argument(
         "--faults",
@@ -890,8 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="append structured spans (canonical JSONL, one per span) "
         "to FILE: engine cells, trace-cache resolutions, checkpoint "
-        "records (equivalent to REPRO_OBS_TRACE=FILE; stdout bytes are "
-        "unchanged — see docs/OBSERVABILITY.md)",
+        "loads and saves (equivalent to REPRO_OBS_TRACE=FILE; stdout "
+        "bytes are unchanged — see docs/OBSERVABILITY.md)",
     )
     run.set_defaults(func=_cmd_run)
 

@@ -29,9 +29,6 @@ from repro.cluster.protocol import (
     LEASE_SCHEMA,
     WORKER_SCHEMA,
     WORKERS_SCHEMA,
-    cell_fields,
-    cell_spec,
-    cell_task_key,
 )
 from repro.cluster.worker import WorkerConfig, run_worker
 
@@ -43,8 +40,5 @@ __all__ = [
     "WORKER_SCHEMA",
     "WORKERS_SCHEMA",
     "WorkerConfig",
-    "cell_fields",
-    "cell_spec",
-    "cell_task_key",
     "run_worker",
 ]

@@ -39,7 +39,6 @@ the same bytes, and stale pushes are acknowledged-and-ignored.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import zlib
@@ -51,15 +50,20 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro.common.errors import ReproError
 from repro.engine.cells import CellResult, SimCell
 from repro.engine.runner import RunCancelled
-from repro.service.api import CELL_SCHEMA, payload_bytes
+from repro.service.api import (
+    cell_result,
+    cell_spec,
+    decode_payload,
+    payload_bytes,
+    result_key,
+    valid_payload,
+)
 from repro.cluster.protocol import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_WORKER_TTL_SECONDS,
     LEASE_SCHEMA,
     WORKER_SCHEMA,
     WORKERS_SCHEMA,
-    cell_spec,
-    cell_task_key,
 )
 
 #: Task states.
@@ -139,21 +143,6 @@ class WorkerInfo:
     local: bool = False
     completed: int = 0
     lease_ids: Set[str] = field(default_factory=set)
-
-
-def _valid_payload(spec: Dict, payload: object) -> bool:
-    """Whether ``payload`` is a plausible result of ``spec``."""
-    if not isinstance(payload, dict):
-        return False
-    if spec.get("type") == "cell":
-        cell = {name: value for name, value in spec.items() if name != "type"}
-        return (
-            payload.get("schema") == CELL_SCHEMA
-            and payload.get("cell") == cell
-            and isinstance(payload.get("stats"), dict)
-            and isinstance(payload.get("extras"), dict)
-        )
-    return payload.get("experiment_id") == spec.get("experiment_id")
 
 
 class ClusterScheduler:
@@ -637,7 +626,7 @@ class ClusterScheduler:
             if error is not None:
                 self._fail(task, str(error))
                 return {"accepted": True, "stale": False}
-            if not _valid_payload(task.spec, payload):
+            if not valid_payload(task.spec, payload):
                 self._count("cluster_results_stale_total")
                 self._log(
                     "rejected_result", lease=lease_id, task=task.key,
@@ -700,17 +689,23 @@ class ClusterScheduler:
         # Store lookups happen outside the lock (disk IO); fresh tasks
         # are in no queue yet, so nothing can lease them meanwhile.  A
         # peek: the memo probe is no client read, so it feeds neither
-        # the admission sketch nor the hit/miss counters.
+        # the admission sketch nor the hit/miss counters.  An entry
+        # that is no result of its task's spec is quarantined by the
+        # decoder and the task queued.
         stored = {
-            task.key: self.store.peek(task.key) if self.store is not None else None
+            task.key: self.store.peek(
+                task.key, partial(decode_payload, task.spec)
+            )
+            if self.store is not None
+            else None
             for task in fresh
         }
         with self._lock:
             for task in fresh:
-                blob = stored[task.key]
-                if blob is not None:
+                payload = stored[task.key]
+                if payload is not None:
                     task.state = DONE
-                    task.payload = json.loads(blob)
+                    task.payload = payload
                     task.stored = True
                     self._log("complete", task=task.key, source="store")
                     task.event.set()
@@ -799,19 +794,12 @@ class ClusterScheduler:
         :func:`repro.engine.cells.run_cell`, so the merged results are
         bit-identical to a local run.
         """
-        tasks = self._acquire(
-            [(cell_task_key(cell), cell_spec(cell)) for cell in cells]
-        )
+        specs = [cell_spec(cell) for cell in cells]
+        tasks = self._acquire([(result_key(spec), spec) for spec in specs])
         try:
             self._wait(tasks, progress, should_cancel, attempts)
-            # JSON round-trips preserve int vs float, so the dicts are
-            # the originals bit-for-bit — no numeric coercion wanted.
             return [
-                CellResult(
-                    cell=cell,
-                    stats=dict(task.payload["stats"]),
-                    extras=dict(task.payload["extras"]),
-                )
+                cell_result(cell, task.payload)
                 for cell, task in zip(cells, tasks)
             ]
         finally:

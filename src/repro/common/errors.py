@@ -35,7 +35,7 @@ class IntegrityError(ReproError):
     """A persisted entry failed its integrity check.
 
     Raised when an on-disk envelope (trace cache entry, result-store
-    entry, checkpoint record) is truncated, bit-flipped, or otherwise
+    entry) is truncated, bit-flipped, or otherwise
     does not match its embedded SHA-256 digest.  Callers quarantine the
     entry and regenerate; they never serve the corrupt payload.
     """

@@ -1,8 +1,8 @@
 """Integrity-checked envelopes and crash-safe file publication.
 
 Every durable entry the reproduction persists — trace-cache traces,
-result-store payloads, checkpoint records — is wrapped in a small
-self-describing envelope::
+result-store payloads (``run --checkpoint`` cells among them) — is
+wrapped in a small self-describing envelope::
 
     FVCE1\\n
     <sha256-hex> <payload-length>\\n

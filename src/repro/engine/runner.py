@@ -88,6 +88,37 @@ def _prewarm_traces(cells: Sequence[SimCell], store) -> None:
             cache.ensure(*key)
 
 
+def _restore(checkpoint, cell: SimCell) -> Optional[CellResult]:
+    """``cell``'s result from the checkpoint store, or ``None``."""
+    from functools import partial
+
+    from repro.obs import tracing
+    from repro.service.api import (
+        cell_result,
+        cell_spec,
+        decode_payload,
+        result_key,
+    )
+
+    spec = cell_spec(cell)
+    key = result_key(spec)
+    with tracing.span("checkpoint.load", key=key) as span:
+        payload = checkpoint.get(key, partial(decode_payload, spec))
+        if span is not None:
+            span.attrs["outcome"] = "restored" if payload else "missing"
+    return None if payload is None else cell_result(cell, payload)
+
+
+def _save(checkpoint, result: CellResult) -> None:
+    """Put one finished cell's payload into the checkpoint store."""
+    from repro.obs import tracing
+    from repro.service.api import cell_payload, cell_task_key, payload_bytes
+
+    key = cell_task_key(result.cell)
+    with tracing.span("checkpoint.save", key=key):
+        checkpoint.put(key, payload_bytes(cell_payload(result)))
+
+
 def default_jobs() -> int:
     """A sensible worker count: the machine's cores, capped at 8."""
     return min(os.cpu_count() or 1, 8)
@@ -114,11 +145,17 @@ def run_cells(
     cell boundaries; returning true raises :class:`RunCancelled`.
     Neither hook affects the computed results.
 
-    ``checkpoint`` (a :class:`repro.engine.checkpoint.RunCheckpoint`)
-    makes the run resumable: cells with a persisted record are answered
-    from disk, freshly-computed cells are persisted the moment they
-    finish, and because every cell is deterministic the merged results
-    are bit-identical to an uninterrupted, checkpoint-free run.
+    ``checkpoint`` (a :class:`repro.service.result_store.ResultStore`,
+    e.g. :func:`~repro.service.result_store.checkpoint_store`) makes the
+    run resumable.  Before fan-out each cell is read from it under its
+    result key (:func:`repro.service.api.cell_task_key`); each freshly
+    computed cell is put the moment it finishes.  Every cell is
+    deterministic, so the merged results are bit-identical to an
+    uninterrupted, checkpoint-free run.  The key is the one served
+    cells and cluster tasks use, so the store is one memo for all
+    three, and it covers the package version, the trace-cache version
+    and the input's data seed: an entry written under any other is
+    never restored.
 
     ``executor`` replaces the local fan-out entirely (``jobs`` is then
     ignored for the pending cells): the callable receives the cells
@@ -141,7 +178,7 @@ def run_cells(
     results: List[Optional[CellResult]] = [None] * total
     pending: List[int] = []
     for index, cell in enumerate(cells):
-        restored = checkpoint.load(cell) if checkpoint is not None else None
+        restored = None if checkpoint is None else _restore(checkpoint, cell)
         if restored is not None:
             results[index] = restored
             done += 1
@@ -154,7 +191,7 @@ def run_cells(
         nonlocal done
         results[index] = result
         if checkpoint is not None:
-            checkpoint.save(result)
+            _save(checkpoint, result)
         done += 1
         if report:
             _completed(done)

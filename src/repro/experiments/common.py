@@ -13,6 +13,7 @@ alike.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.analysis import sanitize
@@ -117,23 +118,31 @@ def fvc_replay(
     fvc_entries: int,
     top_values: int,
     occupancy_interval: int = 0,
+    config: Optional[FvcSystemConfig] = None,
+    encoder: Optional[FrequentValueEncoder] = None,
 ) -> Tuple[CacheStats, Dict[str, float]]:
-    """Miss statistics and hit breakdown of the default-configuration
-    cache + FVC system.
+    """Miss statistics and hit breakdown of the cache + FVC system.
 
     A non-zero ``occupancy_interval`` samples the FVC's frequent-word
     fraction every that many accesses (Fig. 11) and adds the mean as
-    the ``mean_fvc_frequent_fraction`` extra.
+    the ``mean_fvc_frequent_fraction`` extra.  ``config`` flips the
+    system's behavioural switches (the ablations; the kernel declines
+    any non-default one).  ``encoder`` replaces the trace's own
+    top-``top_values`` encoder, e.g. with values profiled on another
+    input.
     """
-    encoder = encoder_for(trace, top_values)
+    if encoder is None:
+        encoder = encoder_for(trace, top_values)
     replayed = dispatch.try_fvc_replay(
-        trace, geometry, fvc_entries, encoder, occupancy_interval
+        trace, geometry, fvc_entries, encoder, occupancy_interval, config
     )
     if replayed is not None:
         return replayed
-    config = None
+    config = config or FvcSystemConfig()
     if occupancy_interval:
-        config = FvcSystemConfig(occupancy_sample_interval=occupancy_interval)
+        config = dataclasses.replace(
+            config, occupancy_sample_interval=occupancy_interval
+        )
     sanitizing = sanitize.enabled()
     if sanitizing:
         config = sanitize.sanitized_fvc_config(config)
@@ -182,22 +191,6 @@ def victim_replay(
     return stats, {"dmc_hits": system.dmc_hits, "vc_hits": system.vc_hits}
 
 
-def fvc_stats(
-    trace: Trace,
-    geometry: CacheGeometry,
-    fvc_entries: int,
-    top_values: int,
-    config: Optional[FvcSystemConfig] = None,
-) -> Tuple[CacheStats, FvcSystem]:
-    """Miss statistics of the cache + FVC system (and the system, for
-    occupancy/breakdown inspection) — always the oracle, unaudited."""
-    system = FvcSystem(
-        geometry, fvc_entries, encoder_for(trace, top_values), config=config
-    )
-    stats = system.simulate_batch(trace)
-    return stats, system
-
-
 def fvc_miss_stats(
     trace: Trace,
     geometry: CacheGeometry,
@@ -205,16 +198,12 @@ def fvc_miss_stats(
     top_values: int,
     config: Optional[FvcSystemConfig] = None,
 ) -> CacheStats:
-    """Miss statistics of the cache + FVC system when the simulated
-    system itself is not needed afterwards.
-
-    Only the default configuration is in the kernels' proven envelope
-    and goes through :func:`fvc_replay`; a custom ``config`` replays
-    the oracle through :func:`fvc_stats`.
-    """
-    if config is None:
-        return fvc_replay(trace, geometry, fvc_entries, top_values)[0]
-    return fvc_stats(trace, geometry, fvc_entries, top_values, config=config)[0]
+    """Miss statistics of the cache + FVC system when its hit breakdown
+    is not needed (:func:`fvc_replay`)."""
+    stats, _ = fvc_replay(
+        trace, geometry, fvc_entries, top_values, config=config
+    )
+    return stats
 
 
 def reduction_percent(base: CacheStats, improved: CacheStats) -> float:

@@ -161,8 +161,9 @@ class ExtCrossInput(Experiment):
             cross_encoder = FrequentValueEncoder.for_top_values(
                 access_profile(profile_trace).top_values(7), 3
             )
-            cross_system = FvcSystem(_GEOMETRY, 512, cross_encoder)
-            cross_stats = cross_system.simulate(trace)
+            cross_stats, _ = fvc_replay(
+                trace, _GEOMETRY, 512, 7, encoder=cross_encoder
+            )
             self_red = reduction_percent(base, self_stats)
             cross_red = reduction_percent(base, cross_stats)
             rows.append(

@@ -102,8 +102,8 @@ def run_experiment(
     worker processes when it decomposes (see
     :meth:`repro.experiments.base.Experiment.run_with_engine`).
     Deterministic: any ``jobs`` value produces identical results, with
-    or without a ``checkpoint``
-    (:class:`repro.engine.checkpoint.RunCheckpoint`)."""
+    or without a ``checkpoint`` result store
+    (:func:`repro.service.result_store.checkpoint_store`)."""
     return get_experiment(experiment_id).run_with_engine(
         store, fast=fast, jobs=jobs, checkpoint=checkpoint
     )

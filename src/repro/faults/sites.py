@@ -77,20 +77,6 @@ SITE_CATALOG: Dict[str, Site] = _catalog(
         "Between the result-store temp-file write and its atomic rename.",
     ),
     Site(
-        "checkpoint.read",
-        "Checkpoint record read: the enveloped bytes as loaded from disk.",
-        carries_data=True,
-    ),
-    Site(
-        "checkpoint.write",
-        "Checkpoint record write: the enveloped bytes about to be persisted.",
-        carries_data=True,
-    ),
-    Site(
-        "checkpoint.write.publish",
-        "Between the checkpoint temp-file write and its atomic rename.",
-    ),
-    Site(
         "journal.append",
         "Control-plane journal append: the enveloped record bytes about "
         "to be written to the write-ahead log (io_error models ENOSPC, "

@@ -61,8 +61,8 @@ class FvcSystemConfig:
         off (see DESIGN.md §5).
     exclusive:
         Keep contents exclusive (paper design).  The inclusive ablation
-        leaves the FVC entry valid when its line is promoted to the main
-        cache, spending FVC capacity for no extra hits.
+        leaves the FVC entry valid, but clean, when its line is promoted
+        to the main cache, spending FVC capacity for no extra hits.
     verify_values:
         Cross-check every value the system returns for a load against
         the traced value — an end-to-end consistency oracle used by the
@@ -227,15 +227,17 @@ class FvcSystem:
             # line, merge the FVC's frequent words over it, promote to
             # the main cache, and retire the FVC entry.  If any merged
             # word was written while FVC-resident, memory is stale for
-            # it, so the promoted line must carry the dirty bit.
+            # it, so the promoted line must carry the dirty bit.  The
+            # inclusive ablation keeps the entry, but clean: the
+            # promoted line owns its dirty words now, and a dirty copy
+            # would later flush them over the line's fresher write-back.
             self.fvc_infrequent_misses += 1
             line = self.memory.read_line(line_addr, geom.words_per_line)
             self.encoder.merge_line(line, codes)
-            promoted_dirty = False
-            if config.exclusive:
-                entry = fvc.invalidate(line_addr)
-                if entry is not None:
-                    promoted_dirty = any(entry[2])
+            entry = fvc.invalidate(line_addr)
+            promoted_dirty = any(entry[2])
+            if not config.exclusive:
+                fvc.install(line_addr, codes)
             self._fill_main(line_addr, line, dirty=promoted_dirty)
             self._finish_miss(op, line_addr, word_index, value)
             return False
@@ -381,6 +383,10 @@ class FvcSystem:
         codes = self.encoder.encode_line(data)
         if not self.config.insert_empty_lines:
             if self.encoder.count_frequent(codes) == 0:
+                if not self.config.exclusive:
+                    # The inclusive ablation's copy of the line, if one
+                    # is resident, predates what the main cache held.
+                    self.fvc.invalidate(line_addr)
                 return
         displaced = self.fvc.install(line_addr, codes)
         if displaced is not None:

@@ -24,6 +24,7 @@ from repro.cache.classify import MissClassification
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
 from repro.fvc.encoding import FrequentValueEncoder
+from repro.fvc.system import FvcSystemConfig
 from repro.kernels.backend import backend_is_numpy
 from repro.trace.trace import Trace
 
@@ -78,16 +79,18 @@ def try_fvc_replay(
     fvc_entries: int,
     encoder: FrequentValueEncoder,
     occupancy_interval: int = 0,
+    config: Optional[FvcSystemConfig] = None,
 ) -> Optional[Tuple[CacheStats, dict]]:
     """Kernel statistics + extras for a DMC+FVC cell, or ``None``;
-    a non-zero ``occupancy_interval`` adds the Fig. 11 occupancy mean."""
+    a non-zero ``occupancy_interval`` adds the Fig. 11 occupancy mean,
+    and a ``config`` with a non-default switch is declined."""
     if not kernels_active():
         return None
     from repro.kernels.fvc import fvc_cell_replay
 
     started = time.perf_counter()
     result = fvc_cell_replay(
-        trace, geometry, fvc_entries, encoder, occupancy_interval
+        trace, geometry, fvc_entries, encoder, occupancy_interval, config
     )
     if result is None:
         _record("decline")

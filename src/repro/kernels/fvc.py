@@ -52,12 +52,14 @@ traces — and the caller replays the pure-Python oracle.
 
 from __future__ import annotations
 
+import dataclasses
 from bisect import bisect_left
 from typing import Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
 from repro.fvc.encoding import FrequentValueEncoder
+from repro.fvc.system import FvcSystemConfig
 from repro.kernels.columnar import (
     PACK_BITS,
     PACK_MASK,
@@ -71,6 +73,11 @@ from repro.kernels.columnar import (
 )
 from repro.trace.trace import Trace
 
+#: The paper's design: every behavioural switch at its default.  The
+#: occupancy sampling interval is no switch, so it is zeroed on both
+#: sides of the comparison.
+_DEFAULT_SWITCHES = FvcSystemConfig(occupancy_sample_interval=0)
+
 
 def fvc_cell_replay(
     trace: Trace,
@@ -78,6 +85,7 @@ def fvc_cell_replay(
     fvc_entries: int,
     encoder: FrequentValueEncoder,
     occupancy_interval: int = 0,
+    config: Optional[FvcSystemConfig] = None,
 ) -> Optional[Tuple[CacheStats, dict]]:
     """Exact ``FvcSystem`` statistics and extras for one cell, or
     ``None`` when this trace/configuration is outside the kernel's
@@ -87,7 +95,14 @@ def fvc_cell_replay(
     ``mean_fvc_frequent_fraction``: the oracle's
     ``mean_fvc_frequent_fraction`` under
     ``FvcSystemConfig(occupancy_sample_interval=occupancy_interval)``.
+    A ``config`` is accepted only when every behavioural switch is at
+    its default; its sampling interval is not one.
     """
+    if config is not None and (
+        dataclasses.replace(config, occupancy_sample_interval=0)
+        != _DEFAULT_SWITCHES
+    ):
+        return None
     if geometry.ways != 1:
         return None
     if fvc_entries < 1 or fvc_entries & (fvc_entries - 1):

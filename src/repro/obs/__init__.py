@@ -7,7 +7,7 @@ feed results, result keys, or any persisted payload):
   counters, gauges and fixed-bucket histograms with two expositions:
   the versioned ``metrics/v1`` JSON payload and Prometheus-style text;
 * **tracing** (:mod:`repro.obs.tracing`) — deterministic, parent-linked
-  spans around engine cells, trace-cache lookups, checkpoint records,
+  spans around engine cells, trace-cache lookups, checkpoint loads,
   worker job attempts and served requests, dumped as canonical JSONL
   (``run --trace-out`` / ``REPRO_OBS_TRACE``);
 * **profiling** (:mod:`repro.obs.profiling`) — per-cell reference

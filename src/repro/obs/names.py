@@ -53,10 +53,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "trace_cache_synthesised_total",
         "trace_cache_stores_total",
         "trace_cache_corrupt_quarantined_total",
-        # Engine: checkpoint/resume (repro.engine.checkpoint).
-        "checkpoint_restored_total",
-        "checkpoint_saved_total",
-        "checkpoint_corrupt_quarantined_total",
         # Kernels: backend dispatch (repro.kernels.dispatch).
         "kernel_replays_total",
         "kernel_declines_total",

@@ -1,7 +1,7 @@
 """Structured tracing: lightweight, deterministic, DET003-safe spans.
 
 A span covers one unit of observable work — an engine cell, a
-trace-cache resolution, a checkpoint record write, a worker job
+trace-cache resolution, a checkpointed cell's load, a worker job
 attempt, a served HTTP request — and records its parentage, timing and
 attributes as one line of canonical JSONL.
 

@@ -15,13 +15,21 @@ trace-cache version.  Identical submissions therefore resolve to the
 same stored payload across server restarts, and any change that could
 alter results (new code version, regenerated traces) silently retires
 old entries instead of serving stale ones.
+
+A cell's wire form lives here too: its spec (:func:`cell_spec`), its
+key (:func:`cell_task_key`), its payload (:func:`cell_payload`) and the
+one decoder every stored answer passes before it is used
+(:func:`decode_payload`).  Served jobs, cluster tasks and ``run
+--checkpoint`` therefore share one result namespace: a cell computed
+by any of them is an answer for all of them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from dataclasses import fields as dataclass_fields
-from typing import Callable, Dict, Optional
+import json
+from typing import Callable, Dict, Optional, get_type_hints
 
 from repro.common.errors import ConfigurationError
 from repro.engine.cells import CellResult, SimCell
@@ -39,7 +47,8 @@ SPEC_VERSION = 1
 #: Schema tag stamped on cell JSON payloads.
 CELL_SCHEMA = "repro.cell/1"
 
-_CELL_FIELDS = tuple(f.name for f in dataclass_fields(SimCell))
+#: A cell spec's fields and their types: exactly the SimCell fields.
+_CELL_TYPES = get_type_hints(SimCell)
 
 
 class SpecError(ConfigurationError):
@@ -86,29 +95,26 @@ def normalise_spec(spec: object) -> Dict:
     if kind == "cell":
         from repro.workloads.registry import get_workload
 
-        unknown = set(spec) - set(_CELL_FIELDS) - {"type"}
+        unknown = set(spec) - set(_CELL_TYPES) - {"type"}
         if unknown:
             raise SpecError(f"unknown cell spec fields: {sorted(unknown)}")
         cell = SimCell(
-            workload=_require_type(spec, "workload", str),
-            input_name=_require_type(spec, "input_name", str, "ref"),
-            kind=_require_type(spec, "kind", str, "baseline"),
-            size_bytes=_require_type(spec, "size_bytes", int, 16 * 1024),
-            line_bytes=_require_type(spec, "line_bytes", int, 32),
-            ways=_require_type(spec, "ways", int, 1),
-            fvc_entries=_require_type(spec, "fvc_entries", int, 512),
-            top_values=_require_type(spec, "top_values", int, 7),
+            **{
+                f.name: _require_type(
+                    spec,
+                    f.name,
+                    _CELL_TYPES[f.name],
+                    None if f.default is dataclasses.MISSING else f.default,
+                )
+                for f in dataclasses.fields(SimCell)
+            }
         )
         if cell.kind not in ("baseline", "fvc", "classify"):
             raise SpecError(f"unknown cell kind {cell.kind!r}")
         # Raises on unknown workloads/inputs, and validates geometry.
         get_workload(cell.workload).input_named(cell.input_name)
         cell.geometry()
-        normalised = {"type": "cell"}
-        normalised.update(
-            (name, getattr(cell, name)) for name in _CELL_FIELDS
-        )
-        return normalised
+        return cell_spec(cell)
     raise SpecError(
         f"spec 'type' must be 'experiment' or 'cell', got {kind!r}"
     )
@@ -138,16 +144,71 @@ def result_key(spec: Dict) -> str:
     return digest.hexdigest()[:24]
 
 
+def cell_spec(cell: SimCell) -> Dict[str, object]:
+    """A cell as its normalised ``type: cell`` job spec: ``{"type":
+    "cell"}`` plus the SimCell fields.  Leases carry cells in this form,
+    and sweeps submit them in it."""
+    spec: Dict[str, object] = {"type": "cell"}
+    spec.update(dataclasses.asdict(cell))
+    return spec
+
+
+def cell_task_key(cell: SimCell) -> str:
+    """The result key of one cell: the key of its ``type: cell`` job
+    spec, so a cell computed by a served job, a cluster task or a
+    checkpointed run is stored under the one key all of them read."""
+    return result_key(cell_spec(cell))
+
+
 def cell_payload(result: CellResult) -> Dict:
     """A :class:`CellResult` as a plain-JSON-types dict (the cell-job
     analogue of :func:`repro.experiments.render.experiment_payload`)."""
-    cell = result.cell
     return {
         "schema": CELL_SCHEMA,
-        "cell": {name: getattr(cell, name) for name in _CELL_FIELDS},
+        "cell": dataclasses.asdict(result.cell),
         "stats": dict(result.stats),
         "extras": dict(result.extras),
     }
+
+
+def cell_result(cell: SimCell, payload: Dict) -> CellResult:
+    """The :class:`CellResult` a decoded cell payload holds.  JSON keeps
+    int apart from float, so the dicts are the originals bit for bit."""
+    return CellResult(
+        cell=cell,
+        stats=dict(payload["stats"]),
+        extras=dict(payload["extras"]),
+    )
+
+
+def valid_payload(spec: Dict, payload: object) -> bool:
+    """Whether ``payload`` is a plausible result of the normalised
+    ``spec``: a cell payload of this schema for exactly the spec's
+    cell, or an experiment payload of the spec's experiment."""
+    if not isinstance(payload, dict):
+        return False
+    if spec.get("type") == "cell":
+        cell = {name: value for name, value in spec.items() if name != "type"}
+        return (
+            payload.get("schema") == CELL_SCHEMA
+            and payload.get("cell") == cell
+            and isinstance(payload.get("stats"), dict)
+            and isinstance(payload.get("extras"), dict)
+        )
+    return payload.get("experiment_id") == spec.get("experiment_id")
+
+
+def decode_payload(spec: Dict, blob: bytes) -> Optional[Dict]:
+    """The payload stored bytes hold for ``spec``, or ``None`` when they
+    are not JSON or not a result of ``spec`` (another cell's, another
+    schema's).  Every result-store read that answers a spec decodes
+    through here; pass ``functools.partial(decode_payload, spec)`` as
+    the store's ``decode``, so a refused entry is quarantined."""
+    try:
+        payload = json.loads(blob)
+    except ValueError:
+        return None
+    return payload if valid_payload(spec, payload) else None
 
 
 def payload_bytes(payload: Dict) -> bytes:
@@ -185,7 +246,7 @@ def execute_spec(
     if spec["type"] == "cell":
         from repro.engine.cells import run_cell
 
-        cell = SimCell(**{name: spec[name] for name in _CELL_FIELDS})
+        cell = SimCell(**{k: v for k, v in spec.items() if k != "type"})
         if progress is not None:
             progress(0, 1)
         result = run_cell(cell, store)

@@ -24,17 +24,25 @@ file + flush + ``fsync`` + ``os.replace`` + directory ``fsync``); reads
 verify the envelope, and an entry that fails verification is
 quarantined as ``<key>.json.corrupt`` and treated as a miss — the job
 layer then recomputes and re-persists it, so corruption self-heals and
-is never served.  Recency for victim tie-breaks comes from file
-mtimes, refreshed on hit.
+is never served.  A reader that knows what the key must hold passes a
+``decode`` (:func:`repro.service.api.decode_payload`); an entry it
+refuses — another cell's payload, another schema's — is quarantined
+the same way.  Recency for victim tie-breaks comes from file mtimes,
+refreshed on hit.
+
+``run --checkpoint DIR`` opens the same store over ``DIR``
+(:func:`checkpoint_store`), so a checkpoint directory is a result
+store: it resumes runs and serves as ``serve --store-dir`` alike.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import IntegrityError
 from repro.common.integrity import quarantine, read_enveloped, write_enveloped
@@ -42,6 +50,10 @@ from repro.profiling.topk import SpaceSaving
 
 #: Default maximum number of resident entries.
 DEFAULT_CAPACITY = 512
+
+#: ``decode(payload_bytes)`` — what a reader makes of an entry, or
+#: ``None`` when the entry is no answer to its key.
+Decoder = Callable[[bytes], object]
 
 
 def default_store_dir() -> Path:
@@ -52,6 +64,13 @@ def default_store_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro-fvc" / "results"
+
+
+def checkpoint_store(directory: Union[str, Path]) -> "ResultStore":
+    """The store behind ``run --checkpoint DIR``: unbounded, so
+    admission never turns a finished cell away, however many entries
+    the directory already holds."""
+    return ResultStore(Path(directory), capacity=sys.maxsize)
 
 
 class FrequencySketch:
@@ -145,38 +164,51 @@ class ResultStore:
         return self.directory / f"{key}.json"
 
     # Reads -------------------------------------------------------------
-    def get(self, key: str) -> Optional[bytes]:
-        """The stored payload bytes for ``key``, or ``None``.
-
-        Every lookup — hit or miss — feeds the frequency sketch; that
-        is what lets a repeatedly-requested result win admission later
-        even if its first computation was rejected at capacity.
-        """
-        with self._lock:
-            self.sketch.touch(key)
-            known = key in self._index
-        if not known:
-            with self._lock:
-                self.misses += 1
-            return None
+    def _load(self, key: str, decode: Optional[Decoder]) -> Optional[object]:
+        """A resident entry's bytes, or what ``decode`` makes of them;
+        ``None`` when the entry is gone, corrupt or refused.  Corrupt
+        bytes are never served: the entry is quarantined for
+        post-mortem, and so is one ``decode`` refuses."""
         path = self._path(key)
         try:
             payload = read_enveloped(path, site="result_store.read")
+            if decode is not None:
+                payload = decode(payload)
+                if payload is None:
+                    raise IntegrityError(f"{path}: no answer to its key")
+            return payload
         except OSError:
             # Entry vanished behind our back (manual delete): heal.
             with self._lock:
                 self._index.pop(key, None)
-                self.misses += 1
-            return None
         except IntegrityError:
-            # Never serve corrupt bytes: park the entry for post-mortem
-            # and report a miss, so the job layer recomputes it.
             quarantine(path)
             with self._lock:
                 self._index.pop(key, None)
                 self.corrupt_quarantined += 1
+        return None
+
+    def get(
+        self, key: str, decode: Optional[Decoder] = None
+    ) -> Optional[object]:
+        """The stored payload bytes for ``key`` (or, given ``decode``,
+        what it makes of them), or ``None``.
+
+        Every lookup — hit or miss — feeds the frequency sketch; that
+        is what lets a repeatedly-requested result win admission later
+        even if its first computation was rejected at capacity.  A
+        corrupt or refused entry is reported a miss, so the job layer
+        recomputes and re-persists it.
+        """
+        with self._lock:
+            self.sketch.touch(key)
+            known = key in self._index
+        payload = self._load(key, decode) if known else None
+        if payload is None:
+            with self._lock:
                 self.misses += 1
             return None
+        path = self._path(key)
         now = None
         try:
             os.utime(path)
@@ -194,32 +226,21 @@ class ResultStore:
         with self._lock:
             return key in self._index
 
-    def peek(self, key: str) -> Optional[bytes]:
+    def peek(
+        self, key: str, decode: Optional[Decoder] = None
+    ) -> Optional[object]:
         """Read ``key`` without observability side effects.
 
-        The recovery path rehydrates done jobs through this: unlike
-        :meth:`get` it feeds no sketch, bumps no hit/miss counters and
-        refreshes no mtime, so replaying a journal does not distort the
-        admission policy or the metrics a restart should not invent.
-        Corrupt entries are still quarantined, never served.
+        The recovery path rehydrates done jobs through this, and the
+        cluster scheduler probes its memo: unlike :meth:`get` it feeds
+        no sketch, bumps no hit/miss counters and refreshes no mtime,
+        so replaying a journal does not distort the admission policy or
+        the metrics a restart should not invent.  Corrupt or refused
+        entries are still quarantined, never served.
         """
         with self._lock:
             known = key in self._index
-        if not known:
-            return None
-        path = self._path(key)
-        try:
-            return read_enveloped(path, site="result_store.read")
-        except OSError:
-            with self._lock:
-                self._index.pop(key, None)
-            return None
-        except IntegrityError:
-            quarantine(path)
-            with self._lock:
-                self._index.pop(key, None)
-                self.corrupt_quarantined += 1
-            return None
+        return self._load(key, decode) if known else None
 
     # Writes ------------------------------------------------------------
     def _write(self, key: str, payload: bytes) -> float:

@@ -56,6 +56,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -70,7 +71,7 @@ from repro.obs import (
     tracing,
 )
 from repro.service import jobs as jobstates
-from repro.service.api import normalise_spec, result_key
+from repro.service.api import decode_payload, normalise_spec, result_key
 from repro.service.jobs import Job, JobQueue, QueueFullError
 from repro.service.result_store import (
     DEFAULT_CAPACITY,
@@ -230,9 +231,11 @@ class ReproService:
             for rec in recovered.jobs:
                 if rec.state != "done" or rec.result_key in payloads:
                     continue
-                blob = self.store.peek(rec.result_key)
-                if blob is not None:
-                    payloads[rec.result_key] = json.loads(blob)
+                payload = self.store.peek(
+                    rec.result_key, partial(decode_payload, rec.spec)
+                )
+                if payload is not None:
+                    payloads[rec.result_key] = payload
             restored = self.jobs.restore(recovered, payloads)
             self.cluster.restore(
                 worker_serial=recovered.worker_serial,
@@ -311,9 +314,9 @@ class ReproService:
         """Handle one submission; returns ``(body, http_status)``."""
         spec = normalise_spec(raw_spec)
         key = result_key(spec)
-        stored = self.store.get(key)
+        stored = self.store.get(key, partial(decode_payload, spec))
         if stored is not None:
-            job = self.jobs.add_cached(spec, key, json.loads(stored))
+            job = self.jobs.add_cached(spec, key, stored)
             body = job.as_dict()
             body["deduplicated"] = False
             return body, 200

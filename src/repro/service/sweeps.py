@@ -28,24 +28,11 @@ import json
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from repro.service.api import payload_bytes
+from repro.service.api import cell_spec, payload_bytes
 from repro.service.jobs import CANCELLED, DONE, FAILED
 from repro.sweeps.expand import SweepPoint, expand, unique_cells
 from repro.sweeps.runner import snapshots_for, sweep_payload
 from repro.sweeps.spec import normalise_sweep, sweep_id, sweep_result_key
-
-#: Cell-spec fields, SimCell order (mirrors repro.service.api).
-_CELL_FIELDS = (
-    "workload",
-    "input_name",
-    "kind",
-    "size_bytes",
-    "line_bytes",
-    "ways",
-    "fvc_entries",
-    "top_values",
-)
-
 
 class _SweepRecord:
     """Book-keeping for one tracked sweep (immutable after creation
@@ -88,11 +75,6 @@ class SweepBoard:
         self._order: List[str] = []
 
     # Submission --------------------------------------------------------
-    def _cell_spec(self, cell) -> Dict[str, object]:
-        spec: Dict[str, object] = {"type": "cell"}
-        spec.update((name, getattr(cell, name)) for name in _CELL_FIELDS)
-        return spec
-
     def _submit_jobs(
         self, points: List[SweepPoint]
     ) -> Tuple[List[str], List[str]]:
@@ -104,7 +86,7 @@ class SweepBoard:
         distinct = unique_cells(points)
         registry.counter("sweep_cells_expanded_total").inc(len(distinct))
         for cell in distinct:
-            body, _status = self._service.submit(self._cell_spec(cell))
+            body, _status = self._service.submit(cell_spec(cell))
             if body.get("cached") or body.get("deduplicated"):
                 registry.counter("sweep_cells_reused_total").inc()
             job_ids.append(body["id"])

@@ -337,7 +337,7 @@ class TestFlt001FaultCoverage:
         report = _lint(
             tmp_path,
             {
-                "engine/checkpoint.py": """\
+                "service/result_store.py": """\
                 def save(path, payload):
                     path.write_bytes(payload)
                 """

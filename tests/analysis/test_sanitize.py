@@ -256,6 +256,31 @@ class TestExperimentHelpers:
         ):
             assert counts.get(kind) == 1, kind
 
+    @pytest.mark.parametrize(
+        "switch",
+        (
+            {"write_allocate_frequent": True},
+            {"exclusive": False},
+            {"insert_empty_lines": True},
+        ),
+        ids=("waf", "inclusive", "insert-empty"),
+    )
+    def test_flipped_configs_are_audited(self, store, monkeypatch, switch):
+        """The ablations' flipped columns replay the audited oracle too,
+        every loaded value cross-checked against the trace."""
+        from repro.experiments.common import fvc_miss_stats
+        from repro.fvc.system import FvcSystemConfig
+
+        monkeypatch.setenv(sanitize.ENV_VAR, "1")
+        trace = store.get("vortex", "test")
+        fvc_miss_stats(
+            trace, CacheGeometry(16 * 1024, 32), 512, top_values=7,
+            config=FvcSystemConfig(**switch),
+        )
+        counts = sanitize.counters()
+        for kind in ("fvc_occupancy", "writeback_conservation"):
+            assert counts.get(kind) == 1, kind
+
     def test_victim_helper_is_audited(self, store, monkeypatch):
         """Fig. 15's victim caches replay the oracle under the
         sanitizer, and their statistics are checked for conservation."""

@@ -7,6 +7,7 @@ payloads are minimal valid ``repro.cell/1`` dicts.  The run tests
 play the worker protocol from a thread.
 """
 
+import dataclasses
 import sys
 import threading
 import time
@@ -14,12 +15,13 @@ import time
 import pytest
 
 from repro.cluster.coordinator import ClusterScheduler, TaskFailed
-from repro.cluster.protocol import cell_fields, cell_spec, cell_task_key
 from repro.engine.cells import SimCell, run_cell
 from repro.engine.runner import RunCancelled
 from repro.service.api import (
     CELL_SCHEMA,
     cell_payload,
+    cell_spec,
+    cell_task_key,
     execute_spec,
     normalise_spec,
     payload_bytes,
@@ -44,7 +46,7 @@ def payload_for(cell):
     """A wire-valid payload without running any simulation."""
     return {
         "schema": CELL_SCHEMA,
-        "cell": cell_fields(cell),
+        "cell": dataclasses.asdict(cell),
         "stats": {"accesses": 1},
         "extras": {},
     }
@@ -88,8 +90,9 @@ class DictStore:
     def __init__(self):
         self.blobs = {}
 
-    def peek(self, key):
-        return self.blobs.get(key)
+    def peek(self, key, decode=None):
+        blob = self.blobs.get(key)
+        return blob if blob is None or decode is None else decode(blob)
 
     def put(self, key, payload):
         self.blobs[key] = payload
@@ -175,7 +178,7 @@ class TestLeasing:
         wire = sched.lease(worker)["leases"][0]["spec"]
         assert wire == cell_spec(cell) == normalise_spec(wire)
         assert {k: v for k, v in wire.items() if k != "type"} == (
-            cell_fields(cell)
+            dataclasses.asdict(cell)
         )
 
     def test_empty_lease_waits_for_work(self, sched):
@@ -326,7 +329,7 @@ class TestTaskKeys:
     def test_task_key_is_the_cell_job_result_key(self):
         cell = SimCell(workload="gcc", input_name="test", kind="fvc")
         spec = {"type": "cell"}
-        spec.update(cell_fields(cell))
+        spec.update(dataclasses.asdict(cell))
         assert cell_task_key(cell) == result_key(spec)
 
     def test_result_store_is_a_cluster_wide_memo(self, clock, store):
@@ -349,6 +352,17 @@ class TestTaskKeys:
         # Second scheduler resolved purely from the store.
         assert second.counters["cluster_leases_issued_total"] == 0
         assert [e["event"] for e in second.log_events()] == ["complete"]
+
+
+    def test_memo_probe_refuses_another_cells_payload(self, tmp_path):
+        from repro.service.result_store import ResultStore
+
+        first, second = make_cells(2)
+        store = ResultStore(tmp_path)
+        store.put(cell_task_key(first), payload_bytes(payload_for(second)))
+        task = enqueue(ClusterScheduler(store=store), first)
+        assert task.state == "pending"
+        assert store.corrupt_quarantined == 1
 
 
 class TestRunCells:

@@ -87,32 +87,30 @@ class TestWriteRead:
         write_enveloped(path, b"data", site="result_store.write")
         assert read_enveloped(path) == b"data"
 
-    def test_injected_checkpoint_publish_fault_leaves_no_partial_record(
-        self, tmp_path
-    ):
-        # Same crash-safety contract as the stores, at the checkpoint
-        # site: a fault between temp write and rename publishes
-        # nothing and leaves no droppings.
-        install(FaultPlan.parse("checkpoint.write.publish:io_error@1"))
-        path = tmp_path / "record.ckpt"
+    def test_trace_cache_publish_fault_leaves_no_partial_entry(self, tmp_path):
+        # Same crash-safety contract at the trace cache's site: a fault
+        # between temp write and rename publishes nothing and leaves no
+        # droppings.
+        install(FaultPlan.parse("trace_cache.write.publish:io_error@1"))
+        path = tmp_path / "entry.trcbe"
         with pytest.raises(InjectedIOError):
-            write_enveloped(path, b"record payload", site="checkpoint.write")
+            write_enveloped(path, b"entry payload", site="trace_cache.write")
         assert not path.exists()
         assert list(tmp_path.glob("*.tmp")) == []
-        write_enveloped(path, b"record payload", site="checkpoint.write")
-        assert read_enveloped(path) == b"record payload"
+        write_enveloped(path, b"entry payload", site="trace_cache.write")
+        assert read_enveloped(path) == b"entry payload"
 
     def test_injected_bitflip_is_detected_on_read(self, tmp_path):
-        install(FaultPlan.parse("checkpoint.write:bitflip@1"))
-        path = tmp_path / "record.ckpt"
-        write_enveloped(path, b"record payload", site="checkpoint.write")
+        install(FaultPlan.parse("result_store.write:bitflip@1"))
+        path = tmp_path / "entry.json"
+        write_enveloped(path, b"entry payload", site="result_store.write")
         with pytest.raises(IntegrityError):
             read_enveloped(path)
 
     def test_injected_truncate_is_detected_on_read(self, tmp_path):
-        install(FaultPlan.parse("checkpoint.write:truncate@1"))
-        path = tmp_path / "record.ckpt"
-        write_enveloped(path, b"record payload", site="checkpoint.write")
+        install(FaultPlan.parse("result_store.write:truncate@1"))
+        path = tmp_path / "entry.json"
+        write_enveloped(path, b"entry payload", site="result_store.write")
         with pytest.raises(IntegrityError):
             read_enveloped(path)
 

@@ -13,12 +13,13 @@ from repro.experiments.common import (
     baseline_stats,
     encoder_for,
     fvc_replay,
-    fvc_stats,
     input_for,
     reduction_percent,
     victim_replay,
 )
-from repro.fvc.system import FvcSystemConfig
+from repro import obs
+from repro.fvc.encoding import FrequentValueEncoder
+from repro.fvc.system import FvcSystem, FvcSystemConfig
 from repro.kernels import backend
 from repro.trace.synth import zipf_value_trace
 
@@ -66,12 +67,6 @@ class TestSimulationHelpers:
         assoc = baseline_stats(trace, CacheGeometry(4096, 32, ways=2))
         assert direct.accesses == assoc.accesses == len(trace)
 
-    def test_fvc_stats_returns_system(self):
-        trace = zipf_value_trace(2000, seed=4)
-        stats, system = fvc_stats(trace, CacheGeometry(4096, 32), 64, 7)
-        assert stats is system.stats
-        assert system.check_exclusive()
-
     @pytest.mark.parametrize("name", _BACKENDS)
     def test_fvc_replay_adds_occupancy_only_when_asked(
         self, store, monkeypatch, name
@@ -84,16 +79,47 @@ class TestSimulationHelpers:
             trace, geometry, 512, 7, occupancy_interval=512
         )
         assert "mean_fvc_frequent_fraction" not in extras
-        _, system = fvc_stats(
-            trace, geometry, 512, 7,
+        system = FvcSystem(
+            geometry, 512, encoder_for(trace, 7),
             config=FvcSystemConfig(occupancy_sample_interval=512),
         )
+        system.simulate_batch(trace)
         assert (
             sampled.pop("mean_fvc_frequent_fraction")
             == system.mean_fvc_frequent_fraction
         )
         assert sampled == extras
         assert sampled_stats.as_dict() == stats.as_dict()
+
+    @pytest.mark.parametrize("name", _BACKENDS)
+    def test_fvc_replay_takes_a_config_and_an_encoder(
+        self, store, monkeypatch, name
+    ):
+        # A flipped switch is declined by the kernel, another input's
+        # encoder is not; both equal the oracle.
+        monkeypatch.setenv(backend.ENV_VAR, name)
+        monkeypatch.setenv(obs.ENV_VAR, "1")
+        trace = store.get("li", "test")
+        geometry = CacheGeometry(16 * 1024, 32)
+        inclusive = FvcSystemConfig(exclusive=False)
+        cross = FrequentValueEncoder.for_top_values(
+            access_profile(store.get("li", "train")).top_values(7), 3
+        )
+        declines = obs.registry().counter("kernel_declines_total")
+        before = declines.value
+        flipped, _ = fvc_replay(trace, geometry, 512, 7, config=inclusive)
+        declined = declines.value - before
+        crossed, extras = fvc_replay(trace, geometry, 512, 7, encoder=cross)
+        assert declines.value - before == declined == (name == "numpy")
+        oracle = FvcSystem(
+            geometry, 512, encoder_for(trace, 7), config=inclusive
+        )
+        oracle.simulate_batch(trace)
+        assert flipped.as_dict() == oracle.stats.as_dict()
+        oracle = FvcSystem(geometry, 512, cross)
+        oracle.simulate_batch(trace)
+        assert crossed.as_dict() == oracle.stats.as_dict()
+        assert extras["fvc_hits"] == oracle.fvc_hits
 
     @pytest.mark.parametrize("name", _BACKENDS)
     def test_victim_replay_matches_the_oracle(self, store, monkeypatch, name):

@@ -34,8 +34,6 @@ class TestCatalog:
             "trace_cache.write",
             "result_store.read",
             "result_store.write",
-            "checkpoint.read",
-            "checkpoint.write",
             "journal.append",
             "journal.snapshot",
             "journal.replay",

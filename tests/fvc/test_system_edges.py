@@ -70,6 +70,38 @@ class TestConfigurationCorners:
         assert system.fvc.probe(0x100 >> 4)  # inclusive: still resident
         assert not system.check_exclusive()
 
+    def test_inclusive_copy_never_flushes_over_a_fresher_writeback(self):
+        system = _system(
+            config=FvcSystemConfig(exclusive=False, verify_values=True)
+        )
+        system.memory.write_line(0x100 >> 4, [0, 42, 0, 0])
+        system.access(0, 0x100, 0)
+        system.access(0, 0x140, 0)  # evict into the FVC
+        system.access(1, 0x108, 1)  # FVC write hit: word 2 dirty there
+        system.access(0, 0x104, 42)  # promote; the copy stays resident
+        system.access(1, 0x108, 0xFFFFFFFF)  # main hit: newer word 2
+        # Same main set, other FVC slot: evicts the dirty line, whose
+        # write-back the re-inserted copy must not overwrite.
+        system.access(0, 0x1C0, 0)
+        assert system.memory.read_line(0x100 >> 4, 4)[2] == 0xFFFFFFFF
+        system.access(0, 0x200, 0)
+        system.access(0, 0x180, 0)  # evicting 0x200 displaces the copy
+        assert system.access(0, 0x108, 0xFFFFFFFF) is False  # from memory
+
+    def test_inclusive_copy_dies_with_its_infrequent_line(self):
+        system = _system(
+            config=FvcSystemConfig(exclusive=False, verify_values=True)
+        )
+        system.memory.write_line(0x100 >> 4, [0, 42, 0, 0])
+        system.access(0, 0x100, 0)
+        system.access(0, 0x140, 0)  # evict into the FVC
+        system.access(0, 0x104, 42)  # promote; the copy stays resident
+        for word in range(4):
+            system.access(1, 0x100 + word * 4, 7)  # no frequent word left
+        system.access(0, 0x1C0, 0)  # evicted, not re-inserted
+        assert not system.fvc.probe(0x100 >> 4)
+        assert system.access(0, 0x100, 7) is False  # memory, not the copy
+
     def test_single_value_encoder(self):
         system = FvcSystem(GEOMETRY, 8, FrequentValueEncoder([0], 1))
         system.access(0, 0x100, 0)

@@ -18,12 +18,12 @@ import pytest
 
 import repro
 from repro.common.errors import FaultInjected
-from repro.engine.checkpoint import RunCheckpoint
 from repro.engine.trace_cache import TraceCache
 from repro.experiments.registry import run_experiment
 from repro.experiments.render import dumps_canonical
 from repro.faults import install, reset
 from repro.faults.plan import FaultPlan
+from repro.service.result_store import checkpoint_store
 from repro.workloads.store import TraceStore
 
 _EXPERIMENT = "fig13"
@@ -88,10 +88,9 @@ class TestCheckpointChaos:
         src_dir = Path(repro.__file__).resolve().parents[1]
         script = (
             "import sys\n"
-            "from repro.engine.checkpoint import RunCheckpoint\n"
-            "from repro.experiments.registry import run_experiment\n"
+            "from repro.api import run_experiment\n"
             f"run_experiment({_EXPERIMENT!r}, fast=True, "
-            "checkpoint=RunCheckpoint(sys.argv[1]))\n"
+            "checkpoint=sys.argv[1])\n"
         )
         env = dict(
             os.environ,
@@ -99,22 +98,22 @@ class TestCheckpointChaos:
             REPRO_FAULTS="engine.cell:crash@3",
         )
         # The injected crash hard-exits the run on its third cell: two
-        # records are durable, the rest of the run is gone.
+        # store entries are durable, the rest of the run is gone.
         process = subprocess.run(
             [sys.executable, "-c", script, str(ckpt_dir)],
             env=env,
             timeout=300,
         )
         assert process.returncode == 70  # the crash action's exit code
-        assert len(list(ckpt_dir.glob("cell-*.ckpt"))) == 2
+        assert len(list(ckpt_dir.glob("*.json"))) == 2
 
-        resumed = RunCheckpoint(ckpt_dir)
+        resumed = checkpoint_store(ckpt_dir)
         result = run_experiment(
             _EXPERIMENT, store, fast=True, checkpoint=resumed
         )
         assert _fingerprint(result) == baseline
-        assert resumed.stats()["restored"] == 2
-        assert resumed.stats()["saved"] > 0
+        assert resumed.hits == 2
+        assert resumed.stores > 0
 
 
 class TestReplayDeterminism:
