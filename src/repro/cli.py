@@ -1013,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--no-occurrence",
         action="store_true",
-        help="skip the (slower) live-memory occurrence study",
+        help="skip the live-memory occurrence study",
     )
     report.set_defaults(func=_cmd_report)
 

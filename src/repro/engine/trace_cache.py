@@ -51,13 +51,14 @@ from repro.trace.io import (
     trace_from_bytes,
     trace_header_from_bytes,
     trace_to_bytes,
+    verify_trace_bytes,
 )
 from repro.trace.trace import Trace
 
 #: Bump to invalidate every persisted trace (e.g. after changing
 #: workload generation semantically).  Part of every entry's content
-#: address.
-TRACE_CACHE_VERSION = 2
+#: address.  3: entries carry the dead-range section (trace format 4).
+TRACE_CACHE_VERSION = 3
 
 #: Entry file suffix — the only kind of entry the cache reads or writes.
 ENTRY_SUFFIX = ".trcbe"
@@ -236,7 +237,9 @@ class TraceCache:
         return sorted(self.directory.glob(f"*{ENTRY_SUFFIX}"))
 
     def verify(self) -> Dict[str, int]:
-        """Check every entry's envelope and payload without serving any.
+        """Check every entry's envelope and payload — the trace bytes'
+        layout and each section's checksum, dead ranges included —
+        without serving any.
 
         Corrupt entries are quarantined as ``<name>.corrupt``; stale
         ``*.tmp`` droppings from killed writers are swept.  Returns
@@ -251,9 +254,7 @@ class TraceCache:
             checked += 1
             try:
                 payload = read_enveloped(path)
-                trace_header_from_bytes(
-                    zlib.decompress(payload), source=str(path)
-                )
+                verify_trace_bytes(zlib.decompress(payload), source=str(path))
             except (IntegrityError, TraceFormatError, zlib.error, EOFError):
                 self._quarantine(path)
                 quarantined += 1

@@ -13,8 +13,7 @@ from typing import Optional, Sequence
 
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import INT_NAMES, access_profile, input_for
-from repro.profiling.occurrence import profile_occurring_values
-from repro.workloads.registry import get_workload
+from repro.profiling.occurrence import occurrence_profile
 from repro.workloads.store import TraceStore
 
 _DEPTHS = (1, 3, 7, 10)
@@ -40,13 +39,11 @@ class Fig01FrequentValues(Experiment):
         headers += [f"acc_top{k}_%" for k in _DEPTHS]
         rows = []
         for name in self.names:
-            workload = get_workload(name)
-            occurrence = profile_occurring_values(
-                workload,
-                input_name,
-                sample_interval=10_000 if fast else 40_000,
+            trace = store.get(name, input_name)
+            occurrence = occurrence_profile(
+                trace, sample_interval=10_000 if fast else 40_000
             )
-            profile = access_profile(store.get(name, input_name))
+            profile = access_profile(trace)
             row = {"benchmark": name}
             for k in _DEPTHS:
                 row[f"occ_top{k}_%"] = round(100 * occurrence.coverage(k), 1)

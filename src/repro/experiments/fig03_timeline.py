@@ -14,9 +14,8 @@ from typing import Optional
 
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import input_for
-from repro.profiling.occurrence import OccurrenceCollector
+from repro.profiling.occurrence import occurrence_profile
 from repro.profiling.timeline import profile_timeline
-from repro.workloads.registry import get_workload
 from repro.workloads.store import TraceStore
 
 
@@ -36,17 +35,10 @@ class Fig03Timeline(Experiment):
     ) -> ExperimentResult:
         store = self._store(store)
         input_name = input_for(fast)
-        workload = get_workload(self.workload_name)
-
-        # One instrumented run collecting both the trace and the
-        # occurrence snapshots at matched points.
         trace = store.get(self.workload_name, input_name)
-        interval = max(1, len(trace) // self.points)
-        collector = OccurrenceCollector()
-        workload.execute(
-            input_name, sample_interval=interval, sampler=collector
+        occurrence = occurrence_profile(
+            trace, sample_interval=max(1, len(trace) // self.points)
         )
-        occurrence = collector.build_profile()
         points = profile_timeline(trace, occurrence)
 
         headers = [

@@ -16,8 +16,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import FVL_NAMES, access_profile, input_for
 from repro.kernels import dispatch
-from repro.profiling.occurrence import profile_occurring_values
-from repro.workloads.registry import get_workload
+from repro.profiling.occurrence import occurrence_profile
 from repro.trace.trace import Trace
 from repro.workloads.store import TraceStore
 
@@ -69,10 +68,8 @@ class Fig04MissAttribution(Experiment):
         for name in FVL_NAMES:
             trace = store.get(name, input_name)
             accessed = set(access_profile(trace).top_values(10))
-            occurrence = profile_occurring_values(
-                get_workload(name),
-                input_name,
-                sample_interval=10_000 if fast else 40_000,
+            occurrence = occurrence_profile(
+                trace, sample_interval=10_000 if fast else 40_000
             )
             occurring = set(occurrence.top_values(10))
             misses, (miss_accessed, miss_occurring) = attribute_misses(

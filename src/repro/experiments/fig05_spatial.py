@@ -9,25 +9,13 @@ frequent values are spread uniformly across memory.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import input_for
-from repro.profiling.occurrence import profile_occurring_values
+from repro.profiling.occurrence import live_snapshot, occurrence_profile
 from repro.profiling.spatial import profile_spatial_distribution
-from repro.workloads.registry import get_workload
 from repro.workloads.store import TraceStore
-
-
-class _MidpointSnapshot:
-    """Sampler that keeps the first snapshot at/after the midpoint."""
-
-    def __init__(self) -> None:
-        self.items: Optional[List[Tuple[int, int]]] = None
-
-    def __call__(self, memory) -> None:
-        if self.items is None:
-            self.items = list(memory.live_items())
 
 
 class Fig05Spatial(Experiment):
@@ -45,22 +33,14 @@ class Fig05Spatial(Experiment):
     ) -> ExperimentResult:
         store = self._store(store)
         input_name = input_for(fast)
-        workload = get_workload(self.workload_name)
         trace = store.get(self.workload_name, input_name)
-
-        occurrence = profile_occurring_values(
-            workload, input_name, sample_interval=10_000 if fast else 40_000
+        occurrence = occurrence_profile(
+            trace, sample_interval=10_000 if fast else 40_000
         )
         frequent = occurrence.top_values(7)
-
-        snapshot = _MidpointSnapshot()
-        workload.execute(
-            input_name,
-            sample_interval=max(1, len(trace) // 2),
-            sampler=snapshot,
-        )
+        midpoint = live_snapshot(trace, max(1, len(trace) // 2))
         profile = profile_spatial_distribution(
-            snapshot.items or [], frequent, block_words=800, line_words=8
+            midpoint, frequent, block_words=800, line_words=8
         )
         headers = ["block", "freq_per_line"]
         rows = [

@@ -13,8 +13,7 @@ from typing import Optional
 from repro.common.words import word_to_hex
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import FVL_NAMES, access_profile, input_for
-from repro.profiling.occurrence import profile_occurring_values
-from repro.workloads.registry import get_workload
+from repro.profiling.occurrence import occurrence_profile
 from repro.workloads.store import TraceStore
 
 
@@ -38,11 +37,10 @@ class Table1TopValues(Experiment):
         columns = {}
         overlaps = []
         for name in FVL_NAMES:
-            accessed = access_profile(store.get(name, input_name)).top_values(10)
-            occurrence = profile_occurring_values(
-                get_workload(name),
-                input_name,
-                sample_interval=10_000 if fast else 40_000,
+            trace = store.get(name, input_name)
+            accessed = access_profile(trace).top_values(10)
+            occurrence = occurrence_profile(
+                trace, sample_interval=10_000 if fast else 40_000
             )
             occurring = occurrence.top_values(10)
             columns[f"{name}_accessed"] = [word_to_hex(v) for v in accessed]

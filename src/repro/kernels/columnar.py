@@ -77,7 +77,7 @@ def require_numpy():
 class TraceColumns:
     """The raw columns plus the bounds checks every kernel needs.
 
-    A decoded trace's columns are its packed v3 bytes wrapped without a
+    A decoded trace's columns are its packed file bytes wrapped without a
     copy (``u8`` ops, ``u32`` addresses and values); a trace built from
     records gets ``int64`` columns, which may hold values outside the
     32-bit domain.

@@ -11,7 +11,12 @@ walk over the record tuples:
 * :func:`timeline_counts` — Fig. 3's access curves
   (:func:`repro.profiling.timeline.profile_timeline`);
 * :func:`miss_attribution` — Fig. 4's frequent-value misses, from the
-  direct-mapped miss positions of :func:`repro.kernels.dmc.dmc_miss_stream`.
+  direct-mapped miss positions of :func:`repro.kernels.dmc.dmc_miss_stream`;
+* :func:`occurrence_samples` and :func:`live_words` — the live-memory
+  snapshots of Figs. 1-3 and 5 and Table 1, from the columns and the
+  trace's dead ranges
+  (:func:`repro.profiling.occurrence.occurrence_profile` and
+  :func:`~repro.profiling.occurrence.live_snapshot`).
 
 They raise :class:`~repro.kernels.columnar.KernelUnsupported` (or
 return ``None``, for the counted Fig. 4 replay) where the columns
@@ -20,7 +25,7 @@ cannot represent the trace, and the caller runs the oracle.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.kernels.dmc import dmc_miss_stream
@@ -126,3 +131,123 @@ def miss_attribution(
     return len(missed), tuple(
         int(_member_flags(np, missed, wanted).sum()) for wanted in value_sets
     )
+
+
+class _Liveness:
+    """Each accessed word's liveness and value, advanced sample by
+    sample over the trace's dense word ids.
+
+    A word is live at the sample taken after ``c`` records when its
+    last access ``i`` is below ``c`` and no dead range covering it has
+    ``i < position < c``; its value is the value column at ``i``.  The
+    state is three arrays over the dense ids — last access, last death
+    and value code — which each step updates from the records and dead
+    ranges it passes.
+    """
+
+    def __init__(self, np, trace: Trace) -> None:
+        cols = trace_columns(trace)
+        if not cols.in_range:
+            raise KernelUnsupported("records outside the 32-bit domain")
+        n = cols.n
+        if n and bool((cols.addrs & 3).any()):
+            raise KernelUnsupported("misaligned addresses")
+        words = (cols.addrs >> 2).astype(np.int64)
+        ranking = value_ranking(trace)
+        self.np = np
+        self.n = n
+        self.uniq = ranking.uniq
+        self.codes = ranking.codes
+        # One stable sort by word gives the dense ids and, per record,
+        # the position of the next access to the same word.
+        order = np.argsort(words, kind="stable")
+        ordered = words[order]
+        fresh = np.empty(n, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+        self.wuniq = ordered[fresh]
+        self.wid = np.empty(n, dtype=np.int64)
+        self.wid[order] = np.cumsum(fresh) - 1
+        self.next = np.full(n, n, dtype=np.int64)
+        repeat = ~fresh[1:]
+        self.next[order[:-1][repeat]] = order[1:][repeat]
+        self.dead_pos, self.dead_ids = self._deaths(np, trace)
+        count = len(self.wuniq)
+        self.last = np.full(count, -1, dtype=np.int64)
+        # A death at position 0 precedes every record, so 0 is the
+        # neutral last death.
+        self.dead = np.zeros(count, dtype=np.int64)
+        self.value = np.zeros(count, dtype=np.int64)
+        self.done = 0
+
+    def _deaths(self, np, trace: Trace):
+        """Every (position, dense id) a dead range covers, by position;
+        words the trace never touches are never live and drop out."""
+        if not trace.dead_ranges:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        triples = np.frombuffer(trace.dead_ranges, dtype=np.uint32)
+        triples = triples.reshape(-1, 3).astype(np.int64)
+        triples = triples[np.argsort(triples[:, 0], kind="stable")]
+        positions, bases, nwords = triples.T
+        lo = np.searchsorted(self.wuniq, bases)
+        spans = np.searchsorted(self.wuniq, bases + nwords) - lo
+        total = int(spans.sum())
+        starts = np.cumsum(spans) - spans
+        ids = np.arange(total, dtype=np.int64) + np.repeat(lo - starts, spans)
+        return np.repeat(positions, spans), ids
+
+    def advance(self, count: int):
+        """Take in the records and dead ranges before sample ``count``;
+        returns the live-word mask."""
+        np = self.np
+        start, self.done = self.done, count
+        if count > start:
+            touched = start + np.flatnonzero(self.next[start:count] >= count)
+            ids = self.wid[touched]
+            self.last[ids] = touched
+            self.value[ids] = self.codes[touched]
+        lo, hi = np.searchsorted(self.dead_pos, (start, count))
+        if hi > lo:
+            np.maximum.at(self.dead, self.dead_ids[lo:hi], self.dead_pos[lo:hi])
+        return self.dead <= self.last
+
+
+def occurrence_samples(
+    trace: Trace, sample_interval: int, depth: int
+) -> Tuple[List[Tuple[int, int, Dict[int, int]]], Tuple[Tuple[int, int], ...]]:
+    """The snapshots a sampler firing every ``sample_interval`` records
+    takes — ``(access count, live words, {value: live words holding
+    it})`` each — and the ``depth`` most occurring values over all of
+    them, as ``(value, total)`` by (-total, value)."""
+    np = require_numpy()
+    state = _Liveness(np, trace)
+    distinct = len(state.uniq)
+    aggregate = np.zeros(distinct, dtype=np.int64)
+    samples = []
+    for count in range(sample_interval, state.n + 1, sample_interval):
+        live = state.advance(count)
+        counts = np.bincount(state.value[live], minlength=distinct)
+        aggregate += counts
+        held = np.flatnonzero(counts)
+        samples.append((
+            count,
+            int(counts.sum()),
+            dict(zip(state.uniq[held].tolist(), counts[held].tolist())),
+        ))
+    top = _top(np, aggregate, depth)
+    ranked = tuple(zip(state.uniq[top].tolist(), aggregate[top].tolist()))
+    return samples, ranked
+
+
+def live_words(trace: Trace, count: int) -> List[Tuple[int, int]]:
+    """The ``(byte address, value)`` pairs, by address, of the words
+    live at the sample taken after ``count`` records (none when the
+    trace is shorter)."""
+    np = require_numpy()
+    state = _Liveness(np, trace)
+    if count > state.n:
+        return []
+    live = state.advance(count)
+    addresses = (state.wuniq[live] << 2).tolist()
+    return list(zip(addresses, state.uniq[state.value[live]].tolist()))

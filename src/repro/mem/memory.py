@@ -3,7 +3,8 @@
 Responsibilities:
 
 * hold 32-bit word values at 4-byte-aligned byte addresses;
-* record every load/store into an attached trace sink;
+* record every load/store into an attached trace sink, and every
+  deallocation beside it (:attr:`WordMemory.dead_ranges`);
 * track which locations are *live* — referenced at least once and not
   deallocated since — which is exactly the paper's definition of the
   locations of **interest** for the occurrence study (§2);
@@ -17,6 +18,7 @@ suite runs many workloads.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import MemoryError_
@@ -43,11 +45,13 @@ class WordMemory:
     ----------
     record:
         Optional list; when set, every access appends a
-        ``(op, byte_address, value)`` tuple to it.
+        ``(op, byte_address, value)`` tuple to it, and every
+        :meth:`mark_dead` appends its range to :attr:`dead_ranges`.
     sample_interval / sampler:
         When both are set, ``sampler(memory)`` is invoked every
-        ``sample_interval`` accesses — used by the occurrence and timeline
-        profilers to snapshot live memory during execution.
+        ``sample_interval`` accesses — used by the occurrence study's
+        replay oracle (:func:`repro.profiling.occurrence.replay`) to
+        snapshot live memory.
 
     Unbacked locations read as zero, like freshly mapped pages — this
     matters for the frequent-value studies, where zero-initialised data is
@@ -58,6 +62,7 @@ class WordMemory:
         "_words",
         "_live",
         "_record",
+        "dead_ranges",
         "access_count",
         "_sample_interval",
         "_sampler",
@@ -73,6 +78,12 @@ class WordMemory:
         self._words: Dict[int, int] = {}
         self._live: set = set()
         self._record = record
+        #: While recording: flat ``(position, base word, nwords)``
+        #: triples, one per :meth:`mark_dead`, where ``position`` is the
+        #: access count at the call.  ``None`` when not recording.
+        self.dead_ranges: Optional[array] = (
+            array("I") if record is not None else None
+        )
         self.access_count = 0
         if (sample_interval > 0) != (sampler is not None):
             raise MemoryError_(
@@ -147,6 +158,8 @@ class WordMemory:
         live = self._live
         for waddr in range(base, base + nwords):
             live.discard(waddr)
+        if self.dead_ranges is not None:
+            self.dead_ranges.extend((self.access_count, base, nwords))
 
     def live_items(self) -> Iterator[Tuple[int, int]]:
         """Iterate ``(byte_address, value)`` over live referenced words."""

@@ -13,7 +13,7 @@ from typing import List, Optional
 from repro.common.words import word_to_hex
 from repro.profiling.access import AccessProfile, profile_accessed_values
 from repro.profiling.constancy import ConstancyResult, profile_constancy
-from repro.profiling.occurrence import OccurrenceProfile, profile_occurring_values
+from repro.profiling.occurrence import OccurrenceProfile, occurrence_profile
 from repro.profiling.stability import StabilityResult, profile_stability
 from repro.trace.trace import Trace
 from repro.workloads.base import Workload
@@ -91,17 +91,19 @@ def build_report(
 ) -> FvlReport:
     """Run every §2 measurement for one workload input.
 
-    ``trace`` may be supplied to avoid regenerating it; the occurrence
-    study always needs its own instrumented run (it samples live
-    memory), so ``include_occurrence=False`` skips it for speed.
+    ``trace`` may be supplied to avoid regenerating it (the CLI passes
+    the cached one); otherwise the program runs once to make it.  The
+    occurrence study samples live memory from the trace and its dead
+    ranges (:func:`~repro.profiling.occurrence.occurrence_profile`), so
+    a trace without them — derived or hand-made — counts every
+    referenced word live.  ``include_occurrence=False`` skips it.
     """
     if trace is None:
         trace = workload.generate_trace(input_name)
     occurrence = None
     if include_occurrence:
-        occurrence = profile_occurring_values(
-            workload, input_name,
-            sample_interval=max(1, len(trace) // 12),
+        occurrence = occurrence_profile(
+            trace, sample_interval=max(1, len(trace) // 12)
         )
     return FvlReport(
         workload_name=workload.name,

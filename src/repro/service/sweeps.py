@@ -26,13 +26,33 @@ from __future__ import annotations
 
 import json
 import threading
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.service.api import cell_spec, payload_bytes
+from repro.service.api import cell_spec, decode_payload, payload_bytes
 from repro.service.jobs import CANCELLED, DONE, FAILED
 from repro.sweeps.expand import SweepPoint, expand, unique_cells
-from repro.sweeps.runner import snapshots_for, sweep_payload
+from repro.sweeps.runner import SWEEP_RESULT_SCHEMA, snapshots_for, sweep_payload
 from repro.sweeps.spec import normalise_sweep, sweep_id, sweep_result_key
+
+
+def decode_sweep_payload(spec: Dict[str, object], blob: bytes) -> Optional[Dict]:
+    """The assembled payload stored bytes hold for the sweep ``spec``,
+    or ``None`` when they are not JSON or not that sweep's result —
+    the sweep counterpart of :func:`repro.service.api.decode_payload`,
+    so the store quarantines a refused entry and the sweep recomputes."""
+    try:
+        payload = json.loads(blob)
+    except ValueError:
+        return None
+    if (
+        isinstance(payload, dict)
+        and payload.get("schema") == SWEEP_RESULT_SCHEMA
+        and payload.get("sweep_id") == sweep_id(spec)
+    ):
+        return payload
+    return None
+
 
 class _SweepRecord:
     """Book-keeping for one tracked sweep (immutable after creation
@@ -109,10 +129,12 @@ class SweepBoard:
         if existing is not None:
             return self.view(sid), 200
         self._service.registry.counter("sweeps_submitted_total").inc()
-        stored = self._service.store.get(sweep_result_key(spec))
+        stored = self._service.store.get(
+            sweep_result_key(spec), partial(decode_sweep_payload, spec)
+        )
         if stored is not None:
             record = _SweepRecord(spec, [], [], [])
-            record.payload = json.loads(stored)
+            record.payload = stored
             record.counted_done = True
             self._publish(sid, record)
             return self.view(sid), 200
@@ -140,27 +162,26 @@ class SweepBoard:
         return {state: counts[state] for state in sorted(counts)}
 
     def _job_payload(
-        self, job_id: str, job_key: str
+        self, job_id: str, job_key: str, spec: Dict[str, object]
     ) -> Optional[Dict[str, object]]:
         job = self._service.jobs.get(job_id)
         if job is not None and job.state == DONE and job.payload is not None:
             return job.payload
-        blob = self._service.store.peek(job_key)
-        if blob is not None:
-            return json.loads(blob)
-        return None
+        return self._service.store.peek(job_key, partial(decode_payload, spec))
 
     def _assemble(self, record: _SweepRecord) -> Optional[Dict[str, object]]:
         """Build the sweep payload once every job is done; ``None``
         while work is still outstanding."""
+        distinct = unique_cells(record.points)
         payloads = []
-        for job_id, job_key in zip(record.job_ids, record.job_keys):
-            payload = self._job_payload(job_id, job_key)
+        for job_id, job_key, cell in zip(
+            record.job_ids, record.job_keys, distinct
+        ):
+            payload = self._job_payload(job_id, job_key, cell_spec(cell))
             if payload is None:
                 return None
             payloads.append(payload)
         by_cell = {}
-        distinct = unique_cells(record.points)
         for cell, payload in zip(distinct, payloads):
             by_cell[cell] = (payload["stats"], payload["extras"])
         return sweep_payload(

@@ -12,7 +12,7 @@ from repro.trace.record import Access
 
 Record = Tuple[int, int, int]
 
-#: The packed ``(op, address, value)`` columns of the v3 trace format:
+#: The packed ``(op, address, value)`` columns of the trace format:
 #: ``N x u8``, ``N x u32`` and ``N x u32``, little-endian.
 Columns = Tuple[bytes, bytes, bytes]
 
@@ -47,6 +47,17 @@ class Trace:
     plain list of tuples, for code that indexes or slices — is built on
     first read and then replaces the columns.  A trace built from
     records holds that list from the start.
+
+    :attr:`dead_ranges` holds the deallocations of the program run that
+    recorded the trace — flat ``(position, base word, nwords)`` triples
+    in an ``array("I")``, ``position`` being the record count at the
+    free — which the occurrence study
+    (:func:`repro.profiling.occurrence.occurrence_profile`) needs to
+    know which words are live.  It is empty for every trace no program
+    made: synthetic traces (:mod:`repro.trace.synth`), ``Trace(records)``
+    and derived traces (slices and :mod:`repro.trace.filters`), which
+    drop the ranges.  For those, "referenced and never freed" is the
+    liveness.
     """
 
     __slots__ = (
@@ -55,6 +66,7 @@ class Trace:
         "workload",
         "input_name",
         "instruction_count",
+        "dead_ranges",
         "_aggregates",
     )
 
@@ -65,9 +77,17 @@ class Trace:
         input_name: str = "",
         instruction_count: int = 0,
         columns: Optional[Columns] = None,
+        dead_ranges: Optional[Iterable[int]] = None,
     ) -> None:
         if columns is not None and records is not None:
             raise ValueError("a trace takes records or columns, not both")
+        if dead_ranges is None:
+            dead_ranges = array("I")
+        elif not (isinstance(dead_ranges, array) and dead_ranges.typecode == "I"):
+            dead_ranges = array("I", dead_ranges)
+        if len(dead_ranges) % 3:
+            raise ValueError("dead ranges are (position, base, nwords) triples")
+        self.dead_ranges: array = dead_ranges
         self._columns: Optional[Columns] = columns
         self._records: Optional[List[Record]] = (
             None if columns is not None
@@ -100,7 +120,7 @@ class Trace:
 
     @property
     def raw_columns(self) -> Optional[Columns]:
-        """The packed v3 columns while the trace has not built its
+        """The packed columns while the trace has not built its
         record list, else ``None``."""
         return self._columns
 
@@ -128,6 +148,8 @@ class Trace:
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
+            return False
+        if self.dead_ranges != other.dead_ranges:
             return False
         mine, theirs = self._columns, other._columns
         if mine is not None and theirs is not None:

@@ -88,10 +88,16 @@ class Workload(ABC):
         return space
 
     def generate_trace(self, input_name: str = "ref") -> Trace:
-        """Run the program and return its full memory-reference trace."""
+        """Run the program and return its full memory-reference trace,
+        with the dead ranges its frees and stack pops recorded."""
         record: List[Tuple[int, int, int]] = []
-        self.execute(input_name, record=record)
-        return Trace(record, workload=self.name, input_name=input_name)
+        space = self.execute(input_name, record=record)
+        return Trace(
+            record,
+            workload=self.name,
+            input_name=input_name,
+            dead_ranges=space.memory.dead_ranges,
+        )
 
     # Helpers for subclasses -----------------------------------------------
     def _rng(self, inp: WorkloadInput, *extra: object):

@@ -12,7 +12,7 @@ from repro.engine.trace_cache import (
     default_cache_dir,
     default_trace_cache,
 )
-from repro.trace.io import trace_header_from_bytes
+from repro.trace.io import trace_header_from_bytes, trace_to_bytes
 from repro.workloads.store import TraceStore
 
 
@@ -110,7 +110,7 @@ class TestLayers:
             version, workload, _, header_count, _ = trace_header_from_bytes(
                 payload
             )
-            assert version == 3
+            assert version == 4
             assert header_count == count
         assert cache.clear() == 2
         assert cache.entries() == []
@@ -145,6 +145,39 @@ class TestLayers:
         assert fresh.load("go", "test") is None
         assert fresh.corrupt_quarantined == 1
         assert fresh.disk_hits == 0
+
+    def test_version_3_payload_is_quarantined(self, cache):
+        """An entry in the columnar layout before dead ranges (version
+        3) is retired like the row formats: quarantined, not served."""
+        data = bytearray(trace_to_bytes(cache.load_or_generate("go", "test")))
+        struct.pack_into("<H", data, 4, 3)
+        path = cache.path_for("go", "test")
+        write_enveloped(path, zlib.compress(bytes(data), 6))
+        report = cache.verify()
+        assert (report["checked"], report["quarantined"]) == (1, 1)
+        assert path.with_name(path.name + ".corrupt").exists()
+
+    def test_flipped_dead_range_bit_is_quarantined_and_resynthesised(
+        self, cache
+    ):
+        original = cache.load_or_generate("go", "test")
+        assert len(original.dead_ranges) // 3 == 166
+        data = bytearray(trace_to_bytes(original))
+        data[-5] ^= 0x10  # inside the last dead range
+        path = cache.path_for("go", "test")
+        # A sound envelope around bad trace bytes: only the section's
+        # own checksum can catch it.
+        write_enveloped(path, zlib.compress(bytes(data), 6))
+        report = cache.verify()
+        assert (report["checked"], report["quarantined"]) == (1, 1)
+        write_enveloped(path, zlib.compress(bytes(data), 6))
+        fresh = TraceCache(cache.directory)
+        healed = fresh.load_or_generate("go", "test")
+        assert fresh.corrupt_quarantined == 1
+        assert fresh.synthesised == 1
+        assert healed == original
+        assert healed.dead_ranges == original.dead_ranges
+        assert TraceCache(cache.directory).verify()["ok"] == 1
 
     def test_ensure_creates_the_entry(self, cache):
         path = cache.ensure("go", "test")

@@ -4,14 +4,19 @@ Each §2 study reads the value/address columns when the kernels are
 active and walks the record tuples otherwise; both paths must agree on
 every workload trace and on random traces built to stress the edges
 (heavy count ties, lengths not divisible by the checkpoint count,
-fewer records than checkpoints, repeated addresses).
+fewer records than checkpoints, repeated addresses).  The occurrence
+snapshots are checked three ways: the program run that made the trace,
+the replay oracle and the column path.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.analysis import sanitize
 from repro.cache.geometry import CacheGeometry
@@ -19,7 +24,12 @@ from repro.experiments.common import INT_NAMES, access_profile
 from repro.experiments.fig04_miss_attribution import attribute_misses
 from repro.kernels import backend, values
 from repro.profiling import access, constancy, stability, timeline
-from repro.profiling.occurrence import OccurrenceCollector
+from repro.profiling.occurrence import (
+    OccurrenceCollector,
+    occurrence_profile,
+    replay,
+)
+from repro.trace.synth import uniform_trace
 from repro.trace.trace import Trace
 from repro.workloads.registry import get_workload, workload_names
 
@@ -158,17 +168,9 @@ class TestConstancy:
         assert columns == oracle == constancy.ConstancyResult(2, 2)
 
 
-def _occurrence(workload_name: str, interval: int):
-    collector = OccurrenceCollector()
-    get_workload(workload_name).execute(
-        "test", sample_interval=interval, sampler=collector
-    )
-    return collector.build_profile()
-
-
 class TestTimeline:
     def test_gcc(self, gcc_trace, monkeypatch):
-        occurrence = _occurrence("gcc", max(1, len(gcc_trace) // 20))
+        occurrence = occurrence_profile(gcc_trace, max(1, len(gcc_trace) // 20))
         columns, oracle = _both(
             monkeypatch, timeline.profile_timeline, gcc_trace, occurrence
         )
@@ -211,3 +213,106 @@ class TestMissAttribution:
     def test_kernel_declines_set_associative_caches(self, gcc_trace):
         geometry = CacheGeometry(16 * 1024, 16, ways=2)
         assert values.miss_attribution(gcc_trace, geometry, ({0},)) is None
+
+
+def _program_samples(name: str, interval: int):
+    """The snapshots of a sampled run of the program itself."""
+    collector = OccurrenceCollector()
+    get_workload(name).execute("test", sample_interval=interval, sampler=collector)
+    return collector.build_profile()
+
+
+def _oracle(trace: Trace, interval: int, depth: int = 32):
+    collector = OccurrenceCollector()
+    replay(trace, trace.dead_ranges, interval, collector)
+    return collector.build_profile(depth)
+
+
+def _as_columns(profile):
+    return [
+        (sample.access_count, sample.live_locations, sample.counts)
+        for sample in profile.samples
+    ], profile.ranked
+
+
+def _oracle_live(trace: Trace, count: int):
+    taken = []
+    replay(
+        islice(trace, count),
+        trace.dead_ranges,
+        count,
+        lambda memory: taken.append(sorted(memory.live_items())),
+    )
+    return taken[0] if taken else []
+
+
+class TestOccurrence:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", workload_names())
+    def test_program_run_oracle_and_columns_agree(self, name, store):
+        trace = store.get(name, "test")
+        # Fig. 1/2/4/5 and Table 1, Fig. 3 and build_report.
+        for interval in (10_000, max(1, len(trace) // 20), max(1, len(trace) // 12)):
+            program = _program_samples(name, interval)
+            assert _oracle(trace, interval) == program, interval
+            assert values.occurrence_samples(trace, interval, 32) == (
+                _as_columns(program)
+            ), interval
+        # Fig. 5's midpoint snapshot.
+        midpoint = max(1, len(trace) // 2)
+        taken = []
+        get_workload(name).execute(
+            "test",
+            sample_interval=midpoint,
+            sampler=lambda memory: taken.append(sorted(memory.live_items())),
+        )
+        assert _oracle_live(trace, midpoint) == taken[0]
+        assert values.live_words(trace, midpoint) == taken[0]
+
+    @seed(2000)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.integers(min_value=0, max_value=120),
+        footprint=st.integers(min_value=1, max_value=24),
+        synth_seed=st.integers(min_value=0, max_value=7),
+        ranges=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=125),
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=1, max_value=8),
+            ),
+            max_size=12,
+        ),
+        interval=st.integers(min_value=1, max_value=130),
+        depth=st.integers(min_value=1, max_value=12),
+    )
+    # Death and re-access inside one interval.
+    @example(records=60, footprint=4, synth_seed=0, ranges=[(5, 0, 4)],
+             interval=40, depth=8)
+    # A dead range over words the trace never touches.
+    @example(records=60, footprint=4, synth_seed=1, ranges=[(9, 30, 8)],
+             interval=20, depth=8)
+    # Deaths at exactly sample positions.
+    @example(records=60, footprint=6, synth_seed=2,
+             ranges=[(10, 0, 3), (20, 2, 4), (20, 5, 1)], interval=10, depth=8)
+    # An interval longer than the trace.
+    @example(records=30, footprint=4, synth_seed=3, ranges=[(3, 1, 2)],
+             interval=31, depth=8)
+    def test_columns_equal_the_oracle(
+        self, records, footprint, synth_seed, ranges, interval, depth
+    ):
+        made = uniform_trace(records, footprint_words=footprint, seed=synth_seed)
+        trace = Trace(
+            made.records,
+            dead_ranges=[field for dead in ranges for field in dead],
+        )
+        assert values.occurrence_samples(trace, interval, depth) == (
+            _as_columns(_oracle(trace, interval, depth))
+        )
+        count = max(1, min(interval, records))
+        assert values.live_words(trace, count) == _oracle_live(trace, count)
+
+    def test_misaligned_addresses_decline(self):
+        trace = Trace([(1, 6, 1)])
+        with pytest.raises(values.KernelUnsupported):
+            values.occurrence_samples(trace, 1, 4)

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.integrity import CORRUPT_SUFFIX, write_enveloped
 from repro.experiments.render import dumps_canonical
+from repro.service.api import cell_spec, cell_task_key
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ReproService, ServiceConfig
 from repro.sweeps.catalog import get_sweep
+from repro.sweeps.expand import expand, unique_cells
 from repro.sweeps.runner import run_sweep
+from repro.sweeps.spec import sweep_result_key
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +154,39 @@ class TestSweepEndpoints:
         with pytest.raises(ServiceError):
             # Unknown id: the first poll raises 404 as ServiceError.
             client.wait_sweep("f" * 24, timeout=0.5, poll=0.1)
+
+
+class TestStoredEntriesDecode:
+    """The board's two store reads decode like every other result-store
+    read: an entry that is not the answer is quarantined, never raised."""
+
+    def test_undecodable_sweep_payload_is_quarantined_and_recomputed(
+        self, tmp_path
+    ):
+        spec = get_sweep("fig13", fast=True)
+        entry = tmp_path / f"{sweep_result_key(spec)}.json"
+        write_enveloped(entry, b"not json")
+        service = ReproService(
+            ServiceConfig(port=0, workers=1, store_dir=tmp_path)
+        )
+        body, status = service.sweeps.submit(spec)
+        assert status == 202
+        assert body["state"] == "running"
+        assert not entry.exists()
+        assert entry.with_name(entry.name + CORRUPT_SUFFIX).exists()
+        # The fanned-out sweep is tracked now: a re-post answers 200.
+        assert service.sweeps.submit(spec)[1] == 200
+
+    def test_refused_cell_payload_is_quarantined(self, tmp_path):
+        spec = get_sweep("fig13", fast=True)
+        cell = unique_cells(expand(spec))[0]
+        entry = tmp_path / f"{cell_task_key(cell)}.json"
+        write_enveloped(entry, b'{"schema": "another/1"}')
+        service = ReproService(
+            ServiceConfig(port=0, workers=1, store_dir=tmp_path)
+        )
+        payload = service.sweeps._job_payload(
+            "unknown-job", cell_task_key(cell), cell_spec(cell)
+        )
+        assert payload is None
+        assert entry.with_name(entry.name + CORRUPT_SUFFIX).exists()

@@ -1,4 +1,4 @@
-"""Tests for the binary trace format (columnar, version 3) — the one
+"""Tests for the binary trace format (columnar, version 4) — the one
 encoding trace files, cache entries and the cluster wire use."""
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.trace.io import (
     trace_from_bytes,
     trace_header_from_bytes,
     trace_to_bytes,
+    verify_trace_bytes,
     write_trace,
 )
 from repro.trace.trace import Trace
@@ -39,6 +40,16 @@ def _sample_trace() -> Trace:
         workload="gcc",
         input_name="ref",
         instruction_count=42,
+    )
+
+
+def _freed_trace() -> Trace:
+    """A trace with dead ranges, as a program run records them."""
+    return Trace(
+        [(1, 16, 5), (0, 16, 5), (1, 20, 0xFFFFFFFF)],
+        workload="li",
+        input_name="test",
+        dead_ranges=[1, 4, 2, 3, 0x3FFFFFFF, 1, 3, 4, 1],
     )
 
 
@@ -85,32 +96,64 @@ class TestColumnarRoundtrip:
         path = tmp_path / "t.trcb"
         write_trace(trace, path)
         assert trace_header_from_bytes(path.read_bytes()) == (
-            3, "gcc", "ref", 4, 42,
+            4, "gcc", "ref", 4, 42,
         )
+
+    def test_dead_ranges_round_trip(self, tmp_path):
+        trace = _freed_trace()
+        for name in _NAMES:
+            write_trace(trace, tmp_path / name)
+            loaded = read_trace(tmp_path / name)
+            assert loaded == trace
+            assert loaded.dead_ranges == trace.dead_ranges
+        data = trace_to_bytes(trace)
+        assert verify_trace_bytes(data) == (4, "li", "test", 3, 3)
+        assert trace_from_bytes(data).dead_ranges.tolist() == [
+            1, 4, 2, 3, 0x3FFFFFFF, 1, 3, 4, 1,
+        ]
+
+    def test_only_program_traces_carry_dead_ranges(self):
+        from repro.trace.filters import filter_loads
+        from repro.trace.synth import uniform_trace
+
+        trace = _freed_trace()
+        assert trace != Trace(trace.records)  # the ranges are content
+        for derived in (
+            trace[1:], filter_loads(trace), Trace(trace.records),
+            uniform_trace(10),
+        ):
+            assert len(derived.dead_ranges) == 0
 
 
 class TestColumnarLayout:
     def test_sections_are_eight_aligned(self):
         for count in (0, 1, 7, 8, 9, 65536):
-            ops, addrs, values, total = columnar_layout(count, 3, 4)
-            assert ops % 8 == addrs % 8 == values % 8 == 0
-            assert addrs >= ops + count
-            assert values >= addrs + 4 * count
-            assert total == values + 4 * count
+            for dead in (0, 1, 5):
+                ops, addrs, values, ranges, total = columnar_layout(
+                    count, 3, 4, dead
+                )
+                assert ops % 8 == addrs % 8 == values % 8 == ranges % 8 == 0
+                assert addrs >= ops + count
+                assert values >= addrs + 4 * count
+                assert ranges >= values + 4 * count
+                assert total == ranges + 12 * dead
 
     def test_layout_matches_real_bytes(self):
         trace = _sample_trace()
         data = trace_to_bytes(trace)
-        _, _, _, total = columnar_layout(
+        total = columnar_layout(
             len(trace.records), len(b"gcc"), len(b"ref")
-        )
+        )[4]
         assert len(data) == total
+        freed = _freed_trace()
+        total = columnar_layout(3, len(b"li"), len(b"test"), 3)[4]
+        assert len(trace_to_bytes(freed)) == total
 
 
 class TestColumnarErrors:
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "t.trcb"
-        for data in (b"FVTC\x03\x00", b"FVTC" + bytes(32)):
+        for data in (b"FVTC\x04\x00", b"FVTC" + bytes(32)):
             path.write_bytes(data)
             with pytest.raises(TraceFormatError, match="truncated header"):
                 read_trace(path)
@@ -134,6 +177,25 @@ class TestColumnarErrors:
         data[-1] ^= 0xFF  # last byte of the value column
         with pytest.raises(TraceFormatError, match="value"):
             trace_from_bytes(bytes(data))
+
+    def test_flipped_dead_range_bit_names_the_section(self):
+        data = bytearray(trace_to_bytes(_freed_trace()))
+        data[-3] ^= 0x01  # inside the last dead range
+        for decode in (trace_from_bytes, verify_trace_bytes):
+            with pytest.raises(TraceFormatError, match="dead-range"):
+                decode(bytes(data))
+
+    def test_truncated_dead_ranges_rejected_by_the_header_parser(self):
+        data = trace_to_bytes(_freed_trace())
+        with pytest.raises(TraceFormatError, match="expected"):
+            trace_header_from_bytes(data[:-12])
+
+    def test_version_3_rejected_with_regeneration_hint(self):
+        data = bytearray(trace_to_bytes(_sample_trace()))
+        struct.pack_into("<H", data, 4, 3)
+        for decode in (trace_from_bytes, trace_header_from_bytes):
+            with pytest.raises(TraceFormatError, match="repro-fvc trace gen"):
+                decode(bytes(data))
 
     def test_unknown_version_rejected(self):
         data = bytearray(trace_to_bytes(_sample_trace()))
@@ -174,10 +236,10 @@ class TestBackendByteIdentity:
         pytest.importorskip("numpy")
         import sys
 
-        trace = _sample_trace()
-        with_numpy = trace_to_bytes(trace)
+        traces = (_sample_trace(), _freed_trace())
+        with_numpy = [trace_to_bytes(trace) for trace in traces]
         monkeypatch.setitem(sys.modules, "numpy", None)
-        without_numpy = trace_to_bytes(trace)
+        without_numpy = [trace_to_bytes(trace) for trace in traces]
         assert with_numpy == without_numpy
 
     def test_fallback_reader_round_trips(self, monkeypatch):
@@ -200,4 +262,4 @@ class TestCompression:
         # The payload the trace cache persists stays below the 9 bytes
         # per record a fixed-row encoding takes before compression.
         assert len(columnar) < len(trace.records) * 9
-        assert _HEADER.size == 40
+        assert _HEADER.size == 52
