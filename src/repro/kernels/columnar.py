@@ -57,6 +57,10 @@ PACK_BITS = 21
 PACK_MASK = (1 << PACK_BITS) - 1
 #: Traces at or above this record count overflow the packed prefix.
 MAX_RECORDS = 1 << PACK_BITS
+#: The widest set-associative main cache a kernel replays: each miss
+#: works over every way of its set, so above this the per-miss cost
+#: approaches the oracle's and the kernels decline.
+MAX_WAYS = 8
 
 _WORD_MASK = 0xFFFFFFFF
 

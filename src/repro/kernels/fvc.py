@@ -2,7 +2,7 @@
 
 Exactness argument (each step checked against :class:`FvcSystem`):
 
-* With the default config, a direct-mapped main cache and a
+* With the default config, a main cache of ``W`` LRU ways and a
   power-of-two FVC, line ``l`` lives in main-cache set
   ``l & (num_sets - 1)`` and FVC slot ``l & (fvc_entries - 1)``.  Both
   are low-bit masks, so with ``m = min(fvc_entries, num_sets)`` the
@@ -18,19 +18,29 @@ Exactness argument (each step checked against :class:`FvcSystem`):
   hits exactly when the record's own value is frequent — for loads
   because the stored code always encodes the word's last-stored value,
   for stores because the oracle tests the incoming value directly.
-* Only *events* are visited: run starts whose line differs from the
-  set's occupant, promotion points (next infrequent touch of a
-  slot-resident line), and batch boundaries.  Everything between is a
-  main-cache hit or a frequent-value FVC hit, counted in bulk from the
-  packed per-line prefix of :mod:`repro.kernels.columnar`.  A hit batch
-  on a slot-resident line ends at the first run of a third line in its
+* Only *events* are visited: run starts of the set-grouped order,
+  promotion points (next infrequent touch of a slot-resident line), and
+  batch boundaries.  Everything between is a main-cache hit or a
+  frequent-value FVC hit, counted in bulk from the packed per-line
+  prefix of :mod:`repro.kernels.columnar`.  In a direct-mapped set a
+  run start's line always differs from the occupant, and a hit batch on
+  a slot-resident line ends at the first run of a third line in its
   set, so a line resident in another slot of the same group is always
   visited as an event.
-* A main victim is dirty iff its fill was a store or a store touched
-  it while resident (O(1) from the next-store array).  An FVC entry's
-  dirty words accumulate from the frequent-store word offsets of each
-  committed batch window; a flush writes back exactly the distinct
-  dirty words, and a promotion is dirty iff the mask is non-empty.
+* A W-way set (``2 <= W <= MAX_WAYS``) holds an MRU-first tuple of up
+  to W lines.  Its hit batches end at the next run start, so it visits
+  every run start: a line some way holds is a main-cache hit and moves
+  to the front.  That is the only recency change: the rest of a run
+  re-touches its MRU line or hits the FVC up to a promotion point, and
+  FVC hits leave main-cache recency alone, as in the oracle.  A miss or
+  a promotion fills its line as the MRU way and evicts the LRU way of a
+  full set.
+* A main victim is dirty iff its fill was a store, it was promoted
+  dirty, or a store touched it while resident (O(1) from the next-store
+  array).  An FVC entry's dirty words accumulate from the
+  frequent-store word offsets of each committed batch window; a flush
+  writes back exactly the distinct dirty words, and a promotion is
+  dirty iff the mask is non-empty.
 * Installs are lazy: whether a victim actually enters its slot depends
   on its frequent-word count at eviction time, which is resolved O(1)
   at the victim's next touch (no touches can intervene), or by one
@@ -44,10 +54,14 @@ Exactness argument (each step checked against :class:`FvcSystem`):
   vectorized pass over the log computes every sample
   (:func:`_mean_frequent_fraction`).
 
-The kernel declines (returns ``None``) for anything outside this
-envelope — set-associative mains or FVCs, non-power-of-two FVC sizes,
-non-default configs, value-inconsistent, out-of-range or empty
-traces — and the caller replays the pure-Python oracle.
+The envelope is a direct-mapped or 2- to ``MAX_WAYS``-way LRU main
+cache beside a direct-mapped power-of-two FVC, under the default
+config, over a non-empty value-consistent trace in the 32-bit domain.
+The kernel declines (returns ``None``) for anything else — wider mains,
+non-power-of-two FVC sizes, non-default configs, value-inconsistent,
+out-of-range or empty traces — and the caller replays the pure-Python
+oracle.  Set-associative FVC arrays never reach it: their callers build
+``FvcSystem`` directly.
 """
 
 from __future__ import annotations
@@ -61,6 +75,7 @@ from repro.cache.stats import CacheStats
 from repro.fvc.encoding import FrequentValueEncoder
 from repro.fvc.system import FvcSystemConfig
 from repro.kernels.columnar import (
+    MAX_WAYS,
     PACK_BITS,
     PACK_MASK,
     KernelUnsupported,
@@ -103,7 +118,8 @@ def fvc_cell_replay(
         != _DEFAULT_SWITCHES
     ):
         return None
-    if geometry.ways != 1:
+    ways = geometry.ways
+    if ways > MAX_WAYS:
         return None
     if fvc_entries < 1 or fvc_entries & (fvc_entries - 1):
         return None
@@ -160,11 +176,18 @@ def fvc_cell_replay(
     writebacks = writeback_words = 0
     fvc_read_hits = fvc_write_hits = 0
 
-    # Per-set occupant state (index = set number).
+    # Per-set occupant state (index = set number): a direct-mapped set's
+    # one line, promoted-dirty flag, next store at fill and line slot.
     occ_line = [-1] * num_sets
     occ_pd = [False] * num_sets
     occ_ns = [0] * num_sets
     occ_ls = [0] * num_sets
+    # A W-way set holds an MRU-first tuple of up to W lines instead,
+    # with each resident line's (promoted-dirty, next store at fill,
+    # line slot) in one map.
+    wide = ways > 1
+    held = [()] * num_sets
+    filled = {}
     cur_pos = [n] * num_sets
     cur_k = [-1] * num_sets
     for s in range(num_sets):
@@ -276,79 +299,106 @@ def fvc_cell_replay(
             p = best
             k = cur_k[s]
             line = lines[p]
-            f = line & slot_mask
-            if pend_line[f] != -1:
-                if pend_line[f] == line:
-                    resolve(f, rank[p])
-                elif tag[f] == line:
-                    resolve(f, pending_touch(f))
-            o = opf[p]
-            if tag[f] == line:
-                r = rank[p]
-                r0 = open_r0[f]
-                if o & 2:
-                    # Frequent-value touch of the slot-resident line:
-                    # extend/open the bulk hit window and jump the
-                    # cursor to the batch boundary.
+            if wide and line in held[s]:
+                # A run start of a line some way holds: a main-cache hit,
+                # which only moves the set's recency order.
+                h = held[s]
+                if h[0] != line:
+                    i = h.index(line)
+                    held[s] = (line,) + h[:i] + h[i + 1 :]
+            else:
+                f = line & slot_mask
+                if pend_line[f] != -1:
+                    if pend_line[f] == line:
+                        resolve(f, rank[p])
+                    elif tag[f] == line:
+                        resolve(f, pending_touch(f))
+                o = opf[p]
+                if tag[f] == line:
+                    r = rank[p]
+                    r0 = open_r0[f]
+                    if o & 2:
+                        # Frequent-value touch of the slot-resident line:
+                        # extend/open the bulk hit window and jump the
+                        # cursor to the batch boundary.
+                        if r0 >= 0:
+                            commit(f, r0, r)
+                        open_r0[f] = r
+                        boundary = nir[p]
+                        boundary_k = -1
+                        if k < 0:
+                            k = bisect_left(
+                                sorder, p, sstart_list[s], sstart_list[s + 1]
+                            )
+                        nxt = run_id[k] + 1
+                        if nxt < nruns and run_set[nxt] == s:
+                            # A W-way set has no occupant (``occ_line``
+                            # stays -1), so its batch ends at its next run
+                            # start, whose hit would move the recency
+                            # order; a direct-mapped one's at a third line.
+                            if run_line[nxt] != occ_line[s]:
+                                k2 = run_start[nxt]
+                                third = sorder[k2]
+                                if third < boundary:
+                                    boundary = third
+                                    boundary_k = k2
+                            else:
+                                # Runs alternate between the resident line
+                                # and the occupant until the first break at
+                                # least two runs out names a third line.
+                                j = bisect_left(brk2, nxt + 1)
+                                if j < nbrk:
+                                    rb = brk2[j]
+                                    if run_set[rb] == s:
+                                        k2 = run_start[rb]
+                                        third = sorder[k2]
+                                        if third < boundary:
+                                            boundary = third
+                                            boundary_k = k2
+                        cur_pos[s] = boundary
+                        cur_k[s] = boundary_k
+                        continue
+                    # Infrequent touch of the resident line: promotion.
                     if r0 >= 0:
                         commit(f, r0, r)
-                    open_r0[f] = r
-                    boundary = nir[p]
-                    boundary_k = -1
-                    if k < 0:
-                        k = bisect_left(
-                            sorder, p, sstart_list[s], sstart_list[s + 1]
-                        )
-                    nxt = run_id[k] + 1
-                    if nxt < nruns and run_set[nxt] == s:
-                        if run_line[nxt] != occ_line[s]:
-                            k2 = run_start[nxt]
-                            third = sorder[k2]
-                            if third < boundary:
-                                boundary = third
-                                boundary_k = k2
-                        else:
-                            # Runs alternate between the resident line
-                            # and the occupant until the first break at
-                            # least two runs out names a third line.
-                            j = bisect_left(brk2, nxt + 1)
-                            if j < nbrk:
-                                rb = brk2[j]
-                                if run_set[rb] == s:
-                                    k2 = run_start[rb]
-                                    third = sorder[k2]
-                                    if third < boundary:
-                                        boundary = third
-                                        boundary_k = k2
-                    cur_pos[s] = boundary
-                    cur_k[s] = boundary_k
-                    continue
-                # Infrequent touch of the resident line: promotion.
-                if r0 >= 0:
-                    commit(f, r0, r)
-                    open_r0[f] = -1
-                pd = dmask[f] != 0
-                if resident is not None:
-                    resident.append((tag_ls[f], tag_in[f], p))
-                tag[f] = -1
-                dmask[f] = 0
-            else:
-                # Miss in both structures: plain fill.
-                pd = False
-            if o & 1:
-                write_misses += 1
-            else:
-                read_misses += 1
-            victim = occ_line[s]
-            if victim != -1:
-                if occ_pd[s] or occ_ns[s] < p:
-                    writebacks += 1
-                    writeback_words += wpl
-                install(victim, occ_ls[s], p)
-            occ_line[s] = line
-            occ_pd[s] = pd
-            occ_ns[s] = ns[p]
-            occ_ls[s] = lslot[p]
+                        open_r0[f] = -1
+                    pd = dmask[f] != 0
+                    if resident is not None:
+                        resident.append((tag_ls[f], tag_in[f], p))
+                    tag[f] = -1
+                    dmask[f] = 0
+                else:
+                    # Miss in both structures: plain fill.
+                    pd = False
+                if o & 1:
+                    write_misses += 1
+                else:
+                    read_misses += 1
+                if wide:
+                    # The filled line becomes the MRU way; a full set's
+                    # LRU way is the victim.
+                    h = held[s]
+                    if len(h) == ways:
+                        victim = h[-1]
+                        victim_pd, victim_ns, victim_ls = filled.pop(victim)
+                        if victim_pd or victim_ns < p:
+                            writebacks += 1
+                            writeback_words += wpl
+                        install(victim, victim_ls, p)
+                        h = h[:-1]
+                    held[s] = (line,) + h
+                    filled[line] = (pd, ns[p], lslot[p])
+                else:
+                    victim = occ_line[s]
+                    if victim != -1:
+                        if occ_pd[s] or occ_ns[s] < p:
+                            writebacks += 1
+                            writeback_words += wpl
+                        install(victim, occ_ls[s], p)
+                    occ_line[s] = line
+                    occ_pd[s] = pd
+                    occ_ns[s] = ns[p]
+                    occ_ls[s] = lslot[p]
             # The set's next event is at most its next run start.
             if k < 0:
                 k = bisect_left(sorder, p, sstart_list[s], sstart_list[s + 1])

@@ -29,6 +29,7 @@ from typing import Optional
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
 from repro.kernels.columnar import (
+    MAX_WAYS,
     KernelUnsupported,
     line_index,
     require_numpy,
@@ -37,16 +38,12 @@ from repro.kernels.columnar import (
 )
 from repro.trace.trace import Trace
 
-#: Above this associativity the per-miss bisection cost approaches the
-#: oracle's, so the kernel declines.
-_MAX_WAYS = 8
-
 
 def setassoc_stats(trace: Trace, geometry: CacheGeometry) -> Optional[CacheStats]:
     """Exact :class:`SetAssociativeCache` statistics, or ``None`` when
     the kernel declines."""
     ways = geometry.ways
-    if ways < 2 or ways > _MAX_WAYS:
+    if ways < 2 or ways > MAX_WAYS:
         return None
     try:
         np = require_numpy()

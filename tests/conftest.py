@@ -11,8 +11,14 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.workloads.store import TraceStore
+
+#: The kernel fuzzer's long example budget (``tests/kernels/test_fuzz.py``),
+#: which CI's backend-parity job selects with
+#: ``--hypothesis-profile=fuzz-long``; tier-1 runs the default profile.
+settings.register_profile("fuzz-long", max_examples=5000)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -37,16 +37,16 @@ GATED = sorted(
 #: six are its direct-mapped miss attributions (the other §2 studies'
 #: column paths are profiles, not replays, and are not counted).
 #: fig11's six are its occupancy-sampled FVC replays; fig15's 30 are six
-#: baselines, twelve victim caches and twelve FVCs.  fig14's replays
-#: include its six 3C classify cells; its six declines are still the
-#: 2-way FVC cells.
+#: baselines, twelve victim caches and twelve FVCs.  fig14's 30 are its
+#: twelve baselines, its twelve FVC cells over direct-mapped and 2-way
+#: main caches, and its six 3C classify cells.
 KERNEL_PATHS = {
     "fig4": (6, 0),
     "fig10": (24, 0),
     "fig11": (6, 0),
     "fig12": (72, 0),
     "fig13": (8, 0),
-    "fig14": (24, 6),
+    "fig14": (30, 0),
     "fig15": (30, 0),
 }
 

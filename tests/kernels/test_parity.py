@@ -139,9 +139,15 @@ class TestFvcParity:
         _assert_fvc_parity(trace, geometry, entries, encoder)
 
 
+#: The W-way sweep's FVC sizes: below, at and above the set count (a
+#: fixed 4096 entries would add no new side).
+_WIDE_FVC_SIZES = ("sets/4", "sets", "2*sets", "8*sets")
+
+
 class TestFvcParitySweep:
     """The FVC kernel against the oracle with the FVC smaller than,
-    equal to and larger than the main cache's set count."""
+    equal to and larger than the main cache's set count, beside
+    direct-mapped and 2-, 4- and 8-way LRU main caches."""
 
     @pytest.mark.parametrize("entries", sorted(_FVC_SIZES))
     @pytest.mark.parametrize("top", [1, 3, 7])
@@ -163,6 +169,48 @@ class TestFvcParitySweep:
         size = _FVC_SIZES[entries](geometry.num_sets)
         _assert_fvc_parity(trace, geometry, size, encoder)
 
+    @pytest.mark.parametrize("entries", _WIDE_FVC_SIZES)
+    @pytest.mark.parametrize("top", [1, 3, 7])
+    @pytest.mark.parametrize("line_bytes", [16, 32, 64])
+    @pytest.mark.parametrize("ways", [2, 4, 8])
+    def test_gcc_set_associative(self, gcc_trace, ways, line_bytes, top, entries):
+        geometry = CacheGeometry(4 * 1024, line_bytes, ways=ways)
+        encoder = encoder_for(gcc_trace, top)
+        size = _FVC_SIZES[entries](geometry.num_sets)
+        _assert_fvc_parity(gcc_trace, geometry, size, encoder)
+
+    @pytest.mark.parametrize("entries", _WIDE_FVC_SIZES)
+    @pytest.mark.parametrize("line_bytes, top", [(16, 1), (32, 3), (64, 7)])
+    @pytest.mark.parametrize("ways", [2, 4, 8])
+    def test_compress_set_associative(self, store, ways, line_bytes, top, entries):
+        trace = store.get("compress", "test")
+        geometry = CacheGeometry(16 * 1024, line_bytes, ways=ways)
+        encoder = encoder_for(trace, top)
+        size = _FVC_SIZES[entries](geometry.num_sets)
+        _assert_fvc_parity(trace, geometry, size, encoder)
+
+
+def _assert_occupancy_parity(trace, geometry, entries, top, interval):
+    size = _FVC_SIZES[entries](geometry.num_sets)
+    if interval == "n+1":
+        # No sample at all: the end state's instantaneous fraction.
+        interval = len(trace) + 1
+    encoder = encoder_for(trace, top)
+    replayed = fvc_cell_replay(
+        trace, geometry, size, encoder, occupancy_interval=interval
+    )
+    assert replayed is not None
+    stats, extras = replayed
+    config = FvcSystemConfig(occupancy_sample_interval=interval)
+    system = FvcSystem(geometry, size, encoder, config=config)
+    system.simulate_batch(trace.records)
+    assert stats.as_dict() == system.stats.as_dict()
+    assert (
+        extras.pop("mean_fvc_frequent_fraction")
+        == system.mean_fvc_frequent_fraction
+    )
+    assert extras == _fvc_extras(system)
+
 
 class TestOccupancyParity:
     """Fig. 11's occupancy mean from the kernel's residency log against
@@ -174,25 +222,13 @@ class TestOccupancyParity:
     @pytest.mark.parametrize("entries", ["sets/4", "2*sets"])
     def test_gcc(self, gcc_trace, entries, top, interval):
         geometry = CacheGeometry(4 * 1024, 32, ways=1)
-        size = _FVC_SIZES[entries](geometry.num_sets)
-        if interval == "n+1":
-            # No sample at all: the end state's instantaneous fraction.
-            interval = len(gcc_trace) + 1
-        encoder = encoder_for(gcc_trace, top)
-        replayed = fvc_cell_replay(
-            gcc_trace, geometry, size, encoder, occupancy_interval=interval
-        )
-        assert replayed is not None
-        stats, extras = replayed
-        config = FvcSystemConfig(occupancy_sample_interval=interval)
-        system = FvcSystem(geometry, size, encoder, config=config)
-        system.simulate_batch(gcc_trace.records)
-        assert stats.as_dict() == system.stats.as_dict()
-        assert (
-            extras.pop("mean_fvc_frequent_fraction")
-            == system.mean_fvc_frequent_fraction
-        )
-        assert extras == _fvc_extras(system)
+        _assert_occupancy_parity(gcc_trace, geometry, entries, top, interval)
+
+    @pytest.mark.parametrize("interval", [1, 7, 512, "n+1"])
+    @pytest.mark.parametrize("entries", ["sets/4", "2*sets"])
+    def test_gcc_two_way(self, gcc_trace, entries, interval):
+        geometry = CacheGeometry(4 * 1024, 32, ways=2)
+        _assert_occupancy_parity(gcc_trace, geometry, entries, 7, interval)
 
     def test_no_occupancy_extra_unless_asked(self, gcc_trace):
         geometry = CacheGeometry(4 * 1024, 32, ways=1)
@@ -415,7 +451,16 @@ class TestDeclines:
         assert fvc_cell_replay(gcc_trace, geometry, 768, encoder) is None
 
     def test_set_associative_main_cache_with_fvc(self, gcc_trace):
+        # Fig. 14's 2-way main cache beside a 512-entry FVC is inside
+        # the envelope.
         geometry = CacheGeometry(8 * 1024, 32, ways=2)
+        encoder = encoder_for(gcc_trace, 7)
+        _assert_fvc_parity(gcc_trace, geometry, 512, encoder)
+
+    @pytest.mark.parametrize("ways", [16, 256])
+    def test_main_cache_wider_than_eight_ways_with_fvc(self, gcc_trace, ways):
+        # 256 ways: a fully associative 8 KB cache of 32-byte lines.
+        geometry = CacheGeometry(8 * 1024, 32, ways=ways)
         encoder = encoder_for(gcc_trace, 7)
         assert fvc_cell_replay(gcc_trace, geometry, 512, encoder) is None
 
