@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Observability overhead gate: obs fully on must cost < 5%.
 
-Times the same batch of simulation cells twice — once with metrics and
-tracing disabled (the default) and once with both armed — and writes
-``BENCH_obs.json``.  Exits non-zero when the median instrumented run is
-more than :data:`MAX_OVERHEAD_PERCENT` slower than the median baseline,
-which is the CI perf-smoke job's contract that observability stays
-observational in cost as well as in content.
+Times the same batch of simulation cells with metrics and tracing
+disabled (the default) and with both armed, alternating the two modes
+batch by batch so that a drift in the host's speed lands on both, and
+writes ``BENCH_obs.json``.  Each timed batch repeats the cells until it
+lasts about :data:`BATCH_SECONDS`.  Exits non-zero when the median
+instrumented batch is more than :data:`MAX_OVERHEAD_PERCENT` slower
+than the median baseline batch, which is the CI perf-smoke job's
+contract that observability stays observational in cost as well as in
+content.
 
 Stdlib only; run as ``make bench-obs`` or directly::
 
@@ -26,8 +29,11 @@ import time
 #: The gate: enabling observability may cost at most this much.
 MAX_OVERHEAD_PERCENT = 5.0
 
-#: Timed repetitions per mode (medians are compared).
-REPEATS = 5
+#: Timed batches per mode (medians are compared).
+REPEATS = 10
+
+#: Each timed batch repeats the cells until it lasts about this long.
+BATCH_SECONDS = 0.5
 
 _CELL_SPECS = (
     ("gcc", "baseline", 8 * 1024),
@@ -55,19 +61,46 @@ def _cells():
     ]
 
 
-def _run_batch(cells, store) -> float:
+def _run_batch(cells, store, rounds: int) -> float:
     from repro.engine.cells import run_cell
 
     started = time.perf_counter()
-    for cell in cells:
-        run_cell(cell, store)
+    for _ in range(rounds):
+        for cell in cells:
+            run_cell(cell, store)
     return time.perf_counter() - started
 
 
-def _measure(cells, store) -> list:
-    # One untimed warmup settles trace materialisation and imports.
-    _run_batch(cells, store)
-    return [_run_batch(cells, store) for _ in range(REPEATS)]
+def _set_mode(instrumented: bool, spans_path: str) -> None:
+    from repro.obs import tracing
+
+    if instrumented:
+        os.environ["REPRO_OBS"] = "1"
+        os.environ[tracing.ENV_VAR] = spans_path
+    else:
+        os.environ.pop("REPRO_OBS", None)
+        os.environ.pop(tracing.ENV_VAR, None)
+    tracing.reset()
+
+
+def _measure(cells, store, spans_path: str):
+    """``(rounds, baseline, instrumented)``: the cell repetitions per
+    batch and each mode's batch times, taken alternately."""
+    # One untimed batch per mode settles trace materialisation, imports
+    # and memos; the baseline one sizes the timed batches.
+    _set_mode(True, spans_path)
+    _run_batch(cells, store, 1)
+    _set_mode(False, spans_path)
+    single = _run_batch(cells, store, 1)
+    rounds = max(1, round(BATCH_SECONDS / single))
+    times = {False: [], True: []}
+    # The modes alternate batch by batch, and the leading mode swaps
+    # from pair to pair, so neither always runs after the other.
+    for repeat in range(REPEATS):
+        for instrumented in (repeat % 2 == 1, repeat % 2 == 0):
+            _set_mode(instrumented, spans_path)
+            times[instrumented].append(_run_batch(cells, store, rounds))
+    return rounds, times[False], times[True]
 
 
 def main(argv=None) -> int:
@@ -78,7 +111,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.obs import tracing
     from repro.workloads.store import TraceStore
 
     cells = _cells()
@@ -87,21 +119,13 @@ def main(argv=None) -> int:
     for cell in cells:
         store.get(cell.workload, cell.input_name)
 
-    for name in ("REPRO_OBS", tracing.ENV_VAR):
-        os.environ.pop(name, None)
-    tracing.reset()
-    baseline = _measure(cells, store)
-
     with tempfile.TemporaryDirectory(prefix="obs-bench-") as scratch:
-        os.environ["REPRO_OBS"] = "1"
-        os.environ[tracing.ENV_VAR] = os.path.join(scratch, "spans.jsonl")
-        tracing.reset()
         try:
-            instrumented = _measure(cells, store)
+            rounds, baseline, instrumented = _measure(
+                cells, store, os.path.join(scratch, "spans.jsonl")
+            )
         finally:
-            os.environ.pop("REPRO_OBS", None)
-            os.environ.pop(tracing.ENV_VAR, None)
-            tracing.reset()
+            _set_mode(False, "")
 
     baseline_median = statistics.median(baseline)
     instrumented_median = statistics.median(instrumented)
@@ -114,6 +138,7 @@ def main(argv=None) -> int:
         "schema": "repro.bench-obs/1",
         "cells": len(cells),
         "repeats": REPEATS,
+        "rounds_per_batch": rounds,
         "baseline_seconds": baseline,
         "instrumented_seconds": instrumented,
         "baseline_median_seconds": baseline_median,

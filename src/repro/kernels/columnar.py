@@ -5,8 +5,9 @@ derived arrays instead of re-walking the record tuples per model:
 
 * :func:`trace_columns` — the raw ``op``/``address``/``value`` columns
   (a decoded trace's packed bytes, wrapped without a copy);
-* :func:`word_layer` — per-word previous-store values and the
-  value-consistency flag the FVC kernel's hit predicate relies on;
+* :func:`word_layer` — the records' stable order by word, dense word
+  ids, per-word previous-store values and the value-consistency flag
+  the FVC kernel's hit predicate relies on;
 * :func:`line_index` — per ``line_shift``: line ids, the line-grouped
   (CSR) time order, per-record CSR ranks, and next-store positions;
 * :func:`freq_layer` — per ``(line_shift, encoder)``: frequent-value
@@ -22,27 +23,36 @@ derived arrays instead of re-walking the record tuples per model:
 
 All entries live on ``trace.memo`` so cells sharing a geometry (or just
 a line size) pay for each decomposition once; ``Trace.append``/
-``extend`` drop them with the other aggregates.
+``extend`` drop them with the other aggregates.  Every grouped order
+comes from :func:`stable_order`: a radix sort of uint16 keys, or one
+in-place sort of packed ``key << 32 | position`` words.
 
 Layout invariants the kernels lean on (checked against the oracle
 simulators, not re-derived here):
 
-* line = address >> line_shift, set = line & (num_sets - 1), word
-  offset = (address >> 2) & (words_per_line - 1);
+* word = address >> 2, line = address >> line_shift, set = line &
+  (num_sets - 1), word offset = (address >> 2) & (words_per_line - 1);
+* one word order per trace: ``worder`` groups the records by word in
+  time order, ``wuniq`` lists the distinct words ascending and
+  ``wid`` is each record's index into it; a line's words are adjacent
+  in ``wuniq``, so the line layers take their distinct lines and line
+  slots from it;
 * CSR rank arithmetic: ``rank[lorder] == arange(n)`` so any record's
   position within its line's time-ordered access list is O(1);
 * the packed prefix uses 21/21/22-bit fields, so these layers decline
   (raise :class:`KernelUnsupported`) for traces of 2**21 records or
   more — far above every bundled workload;
-* per-record index arrays — ``lines``, ``lslot``, ``lorder``, ``rank``,
-  ``ns``, ``nir``, ``fs_pos``/``fs_word``, ``sorder``, ``run_*`` and
-  ``brk2`` — are int32: the line decomposition declines addresses
-  above 2**32 - 1, so line ids and record positions fit.  Only the
-  packed prefix ``pref`` and the short per-line/per-set bounds
-  (``start``, ``sstart``) stay int64.  Kernels index and ``bisect``
-  these arrays through zero-copy ``memoryview`` objects, which yield
-  plain ints, instead of memoising per-record plain-list copies (about
-  36 bytes per element).
+* the word and value layers decline records outside the 32-bit
+  domain, so words, values, line ids and record positions fit 32 bits;
+  per-record index arrays — ``worder``, ``wid``, ``lines``, ``lslot``,
+  ``lorder``, ``rank``, ``ns``, ``nir``, ``fs_pos``/``fs_word``,
+  ``sorder``, ``run_*``, ``brk2`` and the value ``codes`` — are int32,
+  and ``prevval`` has the value column's dtype.  Only the packed
+  prefix ``pref`` and the short per-line/per-set bounds (``start``,
+  ``sstart``) stay int64.  Kernels index and ``bisect`` these arrays
+  through zero-copy ``memoryview`` objects, which yield plain ints,
+  instead of memoising per-record plain-list copies (about 36 bytes
+  per element).
 """
 
 from __future__ import annotations
@@ -63,6 +73,9 @@ MAX_RECORDS = 1 << PACK_BITS
 MAX_WAYS = 8
 
 _WORD_MASK = 0xFFFFFFFF
+#: Keys below this bound sort as uint16, which numpy's stable argsort
+#: sorts by radix.
+_RADIX_BOUND = 1 << 16
 
 
 class KernelUnsupported(Exception):
@@ -76,6 +89,47 @@ def require_numpy():
     if np is None:
         raise KernelUnsupported("numpy is not importable")
     return np
+
+
+def packed_order(np, keys):
+    """``(order, ordered)`` for non-negative integer ``keys`` below
+    2**32: their stable argsort (int32) and the keys in that order
+    (uint64).
+
+    One in-place sort of the packed uint64 ``key << 32 | position``:
+    positions are distinct, so equal keys keep their time order, the
+    low halves are the stable argsort and the high halves the sorted
+    keys.
+    """
+    n = len(keys)
+    if n > 1 << 31:
+        raise KernelUnsupported("record positions wider than int32")
+    packed = keys.astype(np.uint64)
+    packed <<= np.uint64(32)
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    return (packed & _WORD_MASK).astype(np.int32), packed >> np.uint64(32)
+
+
+def stable_order(np, keys, bound: int):
+    """The stable argsort (int32) of non-negative integer ``keys``
+    below ``bound``: a radix sort of uint16 keys when ``bound`` allows
+    it, else :func:`packed_order`."""
+    if bound <= _RADIX_BOUND:
+        narrow = keys.astype(np.uint16)
+        return np.argsort(narrow, kind="stable").astype(np.int32)
+    if bound > 1 << 32:
+        raise KernelUnsupported("keys wider than 32 bits")
+    return packed_order(np, keys)[0]
+
+
+def _run_starts(np, ordered):
+    """Flags marking the first element of each run of equal keys in
+    the sorted array ``ordered``."""
+    fresh = np.empty(len(ordered), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return fresh
 
 
 class TraceColumns:
@@ -146,43 +200,47 @@ def trace_columns(trace: Trace) -> TraceColumns:
 
 
 class WordLayer:
-    """Word-granular derivations: previous-store values and consistency."""
+    """Word-granular derivations, from one stable sort by word.
 
-    __slots__ = ("words", "wuniq", "prevval", "consistent")
+    ``worder`` lists the records grouped by word (address >> 2) in time
+    order, ``wuniq`` the distinct words ascending and ``wid`` each
+    record's index into ``wuniq``.  ``prevval`` is the value of the last
+    store to the record's word strictly before it (0 when none), and
+    ``consistent`` says whether every load reads its ``prevval``.
+    """
+
+    __slots__ = ("worder", "wid", "wuniq", "prevval", "consistent")
 
     def __init__(self, np, cols: TraceColumns) -> None:
+        if not cols.in_range:
+            raise KernelUnsupported("records outside the 32-bit domain")
         n = cols.n
-        self.words = cols.addrs >> 2
-        if n == 0:
-            self.wuniq = np.zeros(0, dtype=np.int64)
-            self.prevval = np.zeros(0, dtype=np.int64)
-            self.consistent = True
-            return
-        wuniq, winv = np.unique(self.words, return_inverse=True)
-        self.wuniq = wuniq
-        worder = np.argsort(winv.astype(np.int32), kind="stable")
-        grp = winv[worder].astype(np.int64)
-        ops_w = cols.ops[worder]
-        vals_w = cols.values[worder]
-        base = grp * (n + 1)
-        idx = np.arange(n, dtype=np.int64)
-        # Forward-fill the latest store position within each word group:
-        # stores contribute base+i+1, everything else the group floor, so
-        # a running max never bleeds across the base jumps.
-        cand = np.where(ops_w == 1, base + idx + 1, base)
-        ffill = np.maximum.accumulate(cand)
-        prev = np.empty(n, dtype=np.int64)
-        prev[0] = base[0]
-        prev[1:] = ffill[:-1]
-        rel = prev - base  # i+1 of the last store strictly before, else <= 0
-        has_prev = rel > 0
-        prevval_sorted = np.where(
-            has_prev, vals_w[np.maximum(rel - 1, 0)], 0
+        words = cols.addrs >> 2
+        self.worder, ordered = packed_order(np, words)
+        fresh = _run_starts(np, ordered)
+        self.wuniq = ordered[fresh].astype(words.dtype)
+        grp = np.cumsum(fresh, dtype=np.int32)
+        grp -= 1
+        self.wid = np.empty(n, dtype=np.int32)
+        self.wid[self.worder] = grp
+        ops_w = cols.ops[self.worder]
+        vals_w = cols.values[self.worder]
+        # The last store at or before each slot of the word order is a
+        # running max of store slots; one slot back, it belongs to the
+        # record's word only when it lies inside the word's run.
+        slot = np.arange(n, dtype=np.int32)
+        last = np.where(ops_w == 1, slot, -1)
+        np.maximum.accumulate(last, out=last)
+        before = np.empty(n, dtype=np.int32)
+        before[:1] = -1
+        before[1:] = last[:-1]
+        run_start = np.maximum.accumulate(np.where(fresh, slot, 0))
+        prevval_w = np.where(before >= run_start, vals_w[before], 0)
+        self.prevval = np.empty(n, dtype=cols.values.dtype)
+        self.prevval[self.worder] = prevval_w
+        self.consistent = not bool(
+            ((vals_w != prevval_w) & (ops_w == 0)).any()
         )
-        self.prevval = np.empty(n, dtype=np.int64)
-        self.prevval[worder] = prevval_sorted
-        loads = ops_w == 0
-        self.consistent = bool((vals_w[loads] == prevval_sorted[loads]).all())
 
 
 def word_layer(trace: Trace) -> WordLayer:
@@ -206,32 +264,36 @@ class LineIndex:
     __slots__ = ("lines", "luniq", "lslot", "lorder", "start", "rank", "ns")
 
     def __init__(self, np, cols: TraceColumns, wl: WordLayer, shift: int) -> None:
-        if not cols.in_range:
-            raise KernelUnsupported("records outside the 32-bit domain")
         n = cols.n
-        self.lines = (wl.words >> (shift - 2)).astype(np.int32)
-        # The distinct lines come from the (tiny) distinct-word set, not
-        # from an O(n) unique over the per-record line column.
-        self.luniq = np.unique(wl.wuniq >> (shift - 2))
-        self.lslot = np.searchsorted(self.luniq, self.lines).astype(np.int32)
-        self.lorder = np.argsort(self.lslot, kind="stable").astype(np.int32)
+        self.lines = (cols.addrs >> shift).astype(np.int32)
+        # A line's words are adjacent in the sorted distinct-word set, so
+        # the distinct lines and each word's line slot come from it, and
+        # each record's slot is a gather through its word id.
+        wlines = wl.wuniq >> (shift - 2)
+        fresh = _run_starts(np, wlines)
+        self.luniq = wlines[fresh]
+        wslot = np.cumsum(fresh, dtype=np.int32)
+        wslot -= 1
+        self.lslot = wslot[wl.wid]
         nlines = len(self.luniq)
+        self.lorder = stable_order(np, self.lslot, nlines)
         self.start = np.zeros(nlines + 1, dtype=np.int64)
         np.cumsum(
             np.bincount(self.lslot, minlength=nlines), out=self.start[1:]
         )
+        slots = np.arange(n, dtype=np.int32)
         self.rank = np.empty(n, dtype=np.int32)
-        self.rank[self.lorder] = np.arange(n, dtype=np.int32)
+        self.rank[self.lorder] = slots
         # ns[p]: position of the first store to line(p) at-or-after p
-        # (n when none) via a reversed running min over the CSR order.
+        # (n when none).  A reversed running min over the CSR order gives
+        # each CSR slot's next store slot in any line; that store is on
+        # the record's own line only when it comes before the line's end.
+        nxt = np.where(cols.ops[self.lorder] == 1, slots, n)
+        nxt = np.minimum.accumulate(nxt[::-1])[::-1]
+        ends = np.repeat(self.start[1:].astype(np.int32), np.diff(self.start))
+        nxt[nxt >= ends] = n
         self.ns = np.empty(n, dtype=np.int32)
-        if n:
-            seg = self.lslot[self.lorder].astype(np.int64)
-            key = np.where(
-                cols.ops[self.lorder] == 1, seg * (n + 1) + self.lorder, seg * (n + 1) + n
-            )
-            rmin = np.minimum.accumulate(key[::-1])[::-1] - seg * (n + 1)
-            self.ns[self.lorder] = rmin
+        self.ns[self.lorder] = np.append(self.lorder, np.int32(n))[nxt]
 
 
 def line_index(trace: Trace, line_shift: int) -> LineIndex:
@@ -294,7 +356,9 @@ class FreqLayer:
             self.nir[li.lorder] = rmin
         fs_csr = (isf & stores)[li.lorder]
         self.fs_pos = li.lorder[fs_csr]
-        self.fs_word = ((wl.words[self.fs_pos]) & (wpl - 1)).astype(np.int32)
+        self.fs_word = ((cols.addrs[self.fs_pos] >> 2) & (wpl - 1)).astype(
+            np.int32
+        )
         self.cf0 = wpl if 0 in set(int(v) for v in values) else 0
 
 
@@ -342,10 +406,8 @@ class SetOrder:
 
     def __init__(self, np, cols: TraceColumns, li: LineIndex, num_sets: int) -> None:
         n = cols.n
-        sets = (li.lines & (num_sets - 1)).astype(
-            np.uint16 if num_sets <= 1 << 16 else np.int64
-        )
-        self.sorder = np.argsort(sets, kind="stable").astype(np.int32)
+        sets = li.lines & (num_sets - 1)
+        self.sorder = stable_order(np, sets, num_sets)
         self.sstart = np.zeros(num_sets + 1, dtype=np.int64)
         np.cumsum(
             np.bincount(sets, minlength=num_sets), out=self.sstart[1:]
@@ -396,25 +458,29 @@ class ValueRanking:
 
     ``uniq`` holds them ascending, ``counts`` their access counts,
     ``first`` the position of each one's first access and ``codes``
-    each record's index into ``uniq``; ``order`` lists the indices by
-    (-count, value) — the ranking every §2 study and every encoder
-    uses.
+    each record's index into ``uniq``, all from one stable sort by
+    value; ``order`` lists the indices by (-count, value) — the ranking
+    every §2 study and every encoder uses.
     """
 
     __slots__ = ("uniq", "counts", "first", "codes", "order")
 
     def __init__(self, np, cols: TraceColumns) -> None:
-        uniq, first, codes, counts = np.unique(
-            cols.values,
-            return_index=True,
-            return_inverse=True,
-            return_counts=True,
-        )
-        self.uniq = uniq
-        self.counts = counts
-        self.first = first
-        self.codes = codes
-        self.order = np.lexsort((uniq, -counts))
+        if not cols.in_range:
+            raise KernelUnsupported("records outside the 32-bit domain")
+        n = cols.n
+        by_value, ordered = packed_order(np, cols.values)
+        fresh = _run_starts(np, ordered)
+        starts = np.flatnonzero(fresh)
+        self.uniq = ordered[starts].astype(cols.values.dtype)
+        self.counts = np.diff(starts, append=n)
+        # The stable order visits each value's records in time order.
+        self.first = by_value[starts].astype(np.intp)
+        codes = np.cumsum(fresh, dtype=np.int32)
+        codes -= 1
+        self.codes = np.empty(n, dtype=np.int32)
+        self.codes[by_value] = codes
+        self.order = np.lexsort((self.uniq, -self.counts))
 
 
 def value_ranking(trace: Trace) -> ValueRanking:

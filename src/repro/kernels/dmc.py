@@ -22,6 +22,7 @@ from repro.kernels.columnar import (
     KernelUnsupported,
     require_numpy,
     set_order,
+    stable_order,
     trace_columns,
 )
 from repro.trace.trace import Trace
@@ -88,12 +89,12 @@ def dmc_miss_stream(trace: Trace, geometry: CacheGeometry):
         return None
     try:
         np = require_numpy()
-        _, so, miss_pos, stored = run_reductions(np, trace, geometry)
+        cols, so, miss_pos, stored = run_reductions(np, trace, geometry)
     except KernelUnsupported:
         return None
     wb = _writebacks(np, so, stored)
     victims = np.full(so.nruns, -1, dtype=np.int64)
     if so.nruns > 1:
         victims[1:][wb[1:]] = so.run_line[:-1][wb[1:]]
-    torder = np.argsort(miss_pos)
+    torder = stable_order(np, miss_pos, cols.n)
     return miss_pos[torder], victims[torder]

@@ -34,6 +34,7 @@ from repro.kernels.columnar import (
     require_numpy,
     trace_columns,
     value_ranking,
+    word_layer,
 )
 from repro.trace.trace import Trace
 
@@ -147,29 +148,23 @@ class _Liveness:
 
     def __init__(self, np, trace: Trace) -> None:
         cols = trace_columns(trace)
-        if not cols.in_range:
-            raise KernelUnsupported("records outside the 32-bit domain")
         n = cols.n
         if n and bool((cols.addrs & 3).any()):
             raise KernelUnsupported("misaligned addresses")
-        words = (cols.addrs >> 2).astype(np.int64)
+        words = word_layer(trace)
         ranking = value_ranking(trace)
         self.np = np
         self.n = n
         self.uniq = ranking.uniq
         self.codes = ranking.codes
-        # One stable sort by word gives the dense ids and, per record,
-        # the position of the next access to the same word.
-        order = np.argsort(words, kind="stable")
-        ordered = words[order]
-        fresh = np.empty(n, dtype=bool)
-        fresh[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-        self.wuniq = ordered[fresh]
-        self.wid = np.empty(n, dtype=np.int64)
-        self.wid[order] = np.cumsum(fresh) - 1
-        self.next = np.full(n, n, dtype=np.int64)
-        repeat = ~fresh[1:]
+        self.wuniq = words.wuniq
+        self.wid = words.wid
+        # The trace's word order gives, per record, the position of the
+        # next access to the same word.
+        order = words.worder
+        grouped = self.wid[order]
+        repeat = grouped[1:] == grouped[:-1]
+        self.next = np.full(n, n, dtype=np.int32)
         self.next[order[:-1][repeat]] = order[1:][repeat]
         self.dead_pos, self.dead_ids = self._deaths(np, trace)
         count = len(self.wuniq)

@@ -28,7 +28,11 @@ from typing import Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
-from repro.kernels.columnar import KernelUnsupported, require_numpy
+from repro.kernels.columnar import (
+    KernelUnsupported,
+    require_numpy,
+    stable_order,
+)
 from repro.kernels.dmc import run_reductions
 from repro.trace.trace import Trace
 
@@ -51,7 +55,7 @@ def victim_cell_replay(
     if nruns > 1:
         warm = so.run_set[1:] == so.run_set[:-1]
         evicted[1:][warm] = so.run_line[:-1][warm]
-    torder = np.argsort(miss_pos, kind="stable")
+    torder = stable_order(np, miss_pos, cols.n)
     miss_ops = cols.ops[miss_pos]
 
     vc_hits = vc_store_hits = writebacks = 0

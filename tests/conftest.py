@@ -15,9 +15,11 @@ from hypothesis import settings
 
 from repro.workloads.store import TraceStore
 
-#: The kernel fuzzer's long example budget (``tests/kernels/test_fuzz.py``),
-#: which CI's backend-parity job selects with
-#: ``--hypothesis-profile=fuzz-long``; tier-1 runs the default profile.
+#: The long example budget of the kernel fuzzer and the decomposition
+#: exactness properties (``tests/kernels/test_fuzz.py``,
+#: ``tests/kernels/test_columnar.py``), which CI's backend-parity job
+#: selects with ``--hypothesis-profile=fuzz-long``; tier-1 runs the
+#: default profile.
 settings.register_profile("fuzz-long", max_examples=5000)
 
 

@@ -480,20 +480,35 @@ class TestDeclines:
         trace = Trace([(0, 0, 0), (0, 2**33, 0)], workload="syn")
         assert dmc_classify(trace, CacheGeometry(4096, 16, ways=1)) is None
 
-    def test_decompositions_are_compact(self, store):
+    def test_decompositions_are_compact(self, store, monkeypatch):
         # Guards the memory footprint: per-record index arrays are
-        # int32 and no per-record plain-list copy is memoised.
-        from repro.kernels import columnar
+        # int32, no per-record plain-list copy is memoised, and one FVC
+        # cell with its access profile memoises at most 61 bytes per
+        # record beside the trace's own columns.
+        import numpy as np
 
-        trace = store.get("gcc", "test")
+        from repro.analysis import sanitize
+        from repro.kernels import columnar
+        from repro.trace.io import trace_from_bytes, trace_to_bytes
+
+        # A decoded trace keeps its packed columns, as a trace-cache
+        # load does, and holds no decomposition yet.
+        monkeypatch.setenv(backend.ENV_VAR, "numpy")
+        monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
+        trace = trace_from_bytes(trace_to_bytes(store.get("gcc", "test")))
+        assert trace.raw_columns is not None
         geometry = CacheGeometry(4 * 1024, 32, ways=1)
         encoder = encoder_for(trace, 7)
         assert fvc_cell_replay(trace, geometry, 512, encoder) is not None
         shift = geometry.line_shift
+        wl = columnar.word_layer(trace)
         li = columnar.line_index(trace, shift)
         fl = columnar.freq_layer(trace, shift, encoder.values)
         so = columnar.set_order(trace, shift, geometry.num_sets)
+        vr = columnar.value_ranking(trace)
         arrays = {
+            "worder": wl.worder,
+            "wid": wl.wid,
             "lines": li.lines,
             "lslot": li.lslot,
             "lorder": li.lorder,
@@ -508,14 +523,27 @@ class TestDeclines:
             "run_set": so.run_set,
             "run_id": so.run_id,
             "brk2": so.brk2,
+            "codes": vr.codes,
         }
         for name, array in arrays.items():
             assert array.dtype.name == "int32", name
         assert fl.pref.dtype.name == "int64"
-        n = len(trace.records)
+        assert wl.prevval.dtype.name == "uint32"
+        n = len(trace)
+        per_record = 0
         for key, value in trace._aggregates.items():
-            if key.startswith("kernel:") and isinstance(value, list):
+            if not key.startswith("kernel:"):
+                continue
+            if isinstance(value, list):
                 assert len(value) < n, key
+                continue
+            if key == "kernel:columns":
+                continue
+            for name in type(value).__slots__:
+                array = getattr(value, name)
+                if isinstance(array, np.ndarray) and len(array) >= n:
+                    per_record += array.nbytes
+        assert per_record <= 61 * n
 
 
 class TestProfileParity:
